@@ -62,18 +62,21 @@ def align(src: TokenSeq, tgt: TokenSeq) -> list[AlignOp]:
     a = src.words()
     b = tgt.words()
     n, m = len(a), len(b)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    for j in range(m + 1):
-        dist[0][j] = j
+    dist = [list(range(m + 1))] + [[i] + [0] * m for i in range(1, n + 1)]
     for i in range(1, n + 1):
         row = dist[i]
         prev = dist[i - 1]
         ai = a[i - 1]
+        left = i
+        # min(diag, up, left) compared inline: a call per cell dominates the DP.
         for j in range(1, m + 1):
-            diag = prev[j - 1] + (0 if ai == b[j - 1] else 1)
-            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
+            cell = prev[j - 1] if ai == b[j - 1] else prev[j - 1] + 1
+            up = prev[j] + 1
+            if up < cell:
+                cell = up
+            if left + 1 < cell:
+                cell = left + 1
+            row[j] = left = cell
 
     ops: list[AlignOp] = []
     i, j = n, m

@@ -11,7 +11,7 @@ at its hyphens.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import (
     START_TOKEN,
@@ -101,6 +101,20 @@ def merge_separator(kind: TransformKind) -> str | None:
     return None
 
 
+# The one-word output of each 1:1 transform, given the text and the lexicon.
+_WORD_TRANSFORMS: dict[TransformKind, Callable[[str, VerbLexicon], str]] = {
+    TransformKind.CASE_CAPITAL: lambda text, lex: text[:1].upper() + text[1:],
+    TransformKind.CASE_LOWER: lambda text, lex: text.lower(),
+    TransformKind.CASE_UPPER: lambda text, lex: text.upper(),
+    TransformKind.VERB_VB_VBZ: lambda text, lex: lex.inflect(text, "VBZ") or text,
+    TransformKind.VERB_VB_VBD: lambda text, lex: lex.inflect(text, "VBD") or text,
+    TransformKind.VERB_VBZ_VB: lambda text, lex: lex.uninflect(text, "VBZ") or text,
+    TransformKind.VERB_VBD_VB: lambda text, lex: lex.uninflect(text, "VBD") or text,
+    TransformKind.PLURAL: lambda text, lex: _pluralize(text),
+    TransformKind.SINGULAR: lambda text, lex: _singularize(text) or text,
+}
+
+
 def apply_transform(
     kind: TransformKind,
     token: Token,
@@ -116,7 +130,6 @@ def apply_transform(
     """
     if token.is_start:
         raise ValueError("transforms do not apply to the start sentinel")
-    lex = lexicon if lexicon is not None else default_lexicon()
     text = token.text
 
     sep = merge_separator(kind)
@@ -125,39 +138,18 @@ def apply_transform(
             return [token]
         return [Token(text + sep + lookahead.text)]
 
-    if kind is TransformKind.CASE_CAPITAL:
-        out = text[:1].upper() + text[1:]
-    elif kind is TransformKind.CASE_LOWER:
-        out = text.lower()
-    elif kind is TransformKind.CASE_UPPER:
-        out = text.upper()
-    elif kind is TransformKind.VERB_VB_VBZ:
-        out = lex.inflect(text, "VBZ") or text
-    elif kind is TransformKind.VERB_VB_VBD:
-        out = lex.inflect(text, "VBD") or text
-    elif kind is TransformKind.VERB_VBZ_VB:
-        out = lex.uninflect(text, "VBZ") or text
-    elif kind is TransformKind.VERB_VBD_VB:
-        out = lex.uninflect(text, "VBD") or text
-    elif kind is TransformKind.PLURAL:
-        out = _pluralize(text)
-    elif kind is TransformKind.SINGULAR:
-        out = _singularize(text) or text
-    elif kind is TransformKind.SPLIT_HYPHEN:
+    if kind is TransformKind.SPLIT_HYPHEN:
         parts = [p for p in text.split("-") if p]
         if len(parts) < 2:
             return [token]
         return [Token(p) for p in parts]
-    else:  # pragma: no cover - exhaustive over TransformKind
-        raise AssertionError(f"unhandled transform {kind}")
-    return [Token(out)]
+    lex = lexicon if lexicon is not None else default_lexicon()
+    return [Token(_WORD_TRANSFORMS[kind](text, lex))]
 
 
-# Transforms usable as recognizers of a one-word substitution.  MERGE/SPLIT
-# change token counts, so they cannot explain a 1:1 substitution.
-RECOGNIZER_KINDS: tuple[TransformKind, ...] = tuple(
-    k for k in TransformKind if merge_separator(k) is None and k is not TransformKind.SPLIT_HYPHEN
-)
+# The 1:1 transforms in declaration order, which is recognizer precedence.  MERGE
+# and SPLIT change token counts, so they cannot explain a one-word substitution.
+RECOGNIZER_KINDS = tuple(k for k in TransformKind if k in _WORD_TRANSFORMS)
 
 
 def recognize_substitution(
@@ -166,9 +158,9 @@ def recognize_substitution(
     """First transform (in declaration order) that maps ``src_word`` to ``tgt_word``."""
     if src_word == tgt_word:
         return None
-    src = Token(src_word)
+    lex = lexicon if lexicon is not None else default_lexicon()
     for kind in RECOGNIZER_KINDS:
-        if apply_transform(kind, src, lexicon=lexicon) == [Token(tgt_word)]:
+        if _WORD_TRANSFORMS[kind](src_word, lex) == tgt_word:
             return kind
     return None
 

@@ -9,6 +9,7 @@ the CLI or via library calls produce identical artifacts.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import shlex
 import sys
@@ -60,23 +61,13 @@ def _load_config(args) -> InferenceConfig:
             cfg = InferenceConfig.from_text(fh.read())
     else:
         cfg = InferenceConfig.zero_tweaks()
-    overrides = {}
-    if args.keep_bias is not None:
-        overrides["keep_bias"] = args.keep_bias
-    if args.delete_bias is not None:
-        overrides["delete_bias"] = args.delete_bias
-    if args.min_edit_prob is not None:
-        overrides["min_edit_prob"] = args.min_edit_prob
-    if args.max_iterations is not None:
-        overrides["max_iterations"] = args.max_iterations
-    if overrides:
-        cfg = InferenceConfig(
-            keep_bias=overrides.get("keep_bias", cfg.keep_bias),
-            delete_bias=overrides.get("delete_bias", cfg.delete_bias),
-            min_edit_prob=overrides.get("min_edit_prob", cfg.min_edit_prob),
-            max_iterations=overrides.get("max_iterations", cfg.max_iterations),
-        )
-    return cfg
+    # Each config field has a same-named override flag (see _add_config_args).
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(cfg)
+        if getattr(args, f.name) is not None
+    }
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _add_config_args(sub) -> None:

@@ -49,10 +49,15 @@ class TransformKind(Enum):
     SPLIT_HYPHEN = "SPLIT_HYPHEN"
 
 
+def _has_whitespace(word: str) -> bool:
+    # For a non-empty word: str.split() splits exactly where str.isspace() holds.
+    return word.split() != [word]
+
+
 def _check_word(word: str, what: str) -> None:
     if not word:
         raise ValueError(f"{what} must be non-empty")
-    if any(ch.isspace() for ch in word):
+    if _has_whitespace(word):
         raise ValueError(f"{what} must not contain whitespace: {word!r}")
 
 
@@ -198,7 +203,7 @@ def parse_tag(s: str) -> EditTag:
     if not sep or not rest:
         raise MalformedTag(f"missing payload in tag {s!r}")
     if op == "APPEND" or op == "REPLACE":
-        if any(ch.isspace() for ch in rest):
+        if _has_whitespace(rest):
             raise MalformedTag(f"payload contains whitespace in tag {s!r}")
         return EditTag.append(rest) if op == "APPEND" else EditTag.replace(rest)
     if op == "TRANSFORM":

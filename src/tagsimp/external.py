@@ -3,8 +3,8 @@
 The wire protocol, over stdio of a subprocess or a TCP connection:
 
 * handshake: the client sends ``{"hello": {"vocab_sha256": <hex>}}`` and the
-  peer answers with the same shape; the digests must match the vocabulary
-  file both sides loaded out-of-band.
+  peer answers with the same shape; both send ``TagVocabulary.sha256()`` of
+  the vocabulary loaded out-of-band, and the digests must match.
 * request:  ``{"id": n, "sentences": [["$START", "he", ...], ...]}``
 * response: ``{"id": n, "predictions": [{"detect": [...], "dist": [[...], ...]}, ...]}``
 
@@ -19,7 +19,7 @@ import json
 import socket
 import subprocess
 import threading
-from typing import Protocol, Sequence
+from typing import NoReturn, Protocol, Sequence
 
 import numpy as np
 
@@ -109,6 +109,11 @@ class TcpTransport:
             pass
 
 
+def _reject_constant(name: str) -> NoReturn:
+    """``json.loads`` hook for ``NaN``/``Infinity``, which are not JSON numbers."""
+    raise ProtocolError(f"peer sent non-finite number {name}")
+
+
 class ExternalTaggerClient:
     """TaggerBackend backed by a protocol peer; requests are serialized."""
 
@@ -142,7 +147,7 @@ class ExternalTaggerClient:
     def _read_json(self) -> dict:
         line = self._transport.recv_line()
         try:
-            msg = json.loads(line)
+            msg = json.loads(line, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"peer sent invalid JSON: {line!r}") from exc
         if not isinstance(msg, dict):

@@ -172,10 +172,13 @@ def stat_train(
 
             grad = probs.copy()
             grad[label] -= 1.0
-            np.add.at(model.cls_weights, idxs, -learning_rate * grad)
-            model.cls_bias -= learning_rate * grad
-            det_grad = det_p - det_label
-            np.add.at(model.det_weights, idxs, -learning_rate * det_grad)
-            model.det_bias -= learning_rate * det_grad
+            step = -learning_rate * grad
+            det_step = -learning_rate * (det_p - det_label)
+            # In-order row adds: bitwise np.add.at, duplicate indices included.
+            for h in idxs:
+                model.cls_weights[h] += step
+                model.det_weights[h] += det_step
+            model.cls_bias += step
+            model.det_bias += det_step
         model.epoch_losses.append(total / len(samples))
     return model

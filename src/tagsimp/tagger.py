@@ -42,12 +42,13 @@ class TagPrediction:
             raise ShapeMismatch(
                 f"detect has {self.detect.shape[0]} rows, dist has {self.dist.shape[0]}"
             )
-        if np.any(self.detect < 0) or np.any(self.detect > 1):
+        # "Not within bounds" rejects NaN too; a NaN or inf in dist spoils its row sum.
+        if not np.all((self.detect >= 0) & (self.detect <= 1)):
             raise InvariantViolation("detection probabilities outside [0, 1]")
         if np.any(self.dist < 0):
             raise InvariantViolation("negative probability in distribution row")
         sums = self.dist.sum(axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE
+        bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE)
         if np.any(bad):
             raise InvariantViolation(
                 f"distribution row {int(np.argmax(bad))} sums to {sums[bad][0]:.6f}"

@@ -161,3 +161,33 @@ class TestTcpPeer:
         sock.close()
         with pytest.raises(PeerUnavailable):
             ExternalTaggerClient.from_tcp("127.0.0.1", free_port, vocab)
+
+
+class _ScriptedTransport:
+    """In-memory Transport: answers the handshake, then replays fixed lines."""
+
+    def __init__(self, vocab, replies):
+        self._replies = [json.dumps({"hello": {"vocab_sha256": vocab.sha256()}})] + replies
+
+    def send_line(self, line):
+        pass
+
+    def recv_line(self):
+        return self._replies.pop(0) + "\n"
+
+    def close(self):
+        pass
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_a_protocol_error(self, vocab_file, constant):
+        vocab, _ = vocab_file
+        row = [1.0] + [0.0] * (len(vocab) - 1)
+        reply = (
+            '{"id": 0, "predictions": [{"detect": [%s, 0.0], "dist": %s}]}'
+            % (constant, json.dumps([row, row]))
+        )
+        client = ExternalTaggerClient(_ScriptedTransport(vocab, [reply]), vocab)
+        with pytest.raises(ProtocolError, match="non-finite"):
+            client.predict_batch([tokenize("a")])

@@ -1,0 +1,247 @@
+"""The set-up fast paths against the straightforward implementations they replaced.
+
+Alignment, the substitution recognizer, the word whitespace check and SGD
+training all have a faster form in the package.  The slower forms are kept
+here as references; each test requires exactly equal results (bitwise for
+the trained weights), because the fast paths do the same arithmetic.
+"""
+
+import sys
+from importlib import resources
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import vocab_for
+from tagsimp.align import AlignKind, AlignOp, align, extract_tags
+from tagsimp.apply import (
+    RECOGNIZER_KINDS,
+    VerbLexicon,
+    _pluralize,
+    _singularize,
+    apply_transform,
+    default_lexicon,
+    recognize_substitution,
+)
+from tagsimp.core import (
+    EditKind,
+    Token,
+    TokenSeq,
+    TransformKind,
+    _has_whitespace,
+    parse_tag,
+    tokenize,
+)
+from tagsimp.errors import MalformedTag
+from tagsimp.stat_tagger import StatTaggerModel, _sigmoid, _softmax, stat_train
+
+
+# ------------------------------------------------------------------ references
+
+
+def reference_align(src: TokenSeq, tgt: TokenSeq) -> list[AlignOp]:
+    """Levenshtein DP taking ``min()`` per cell, with the package's backtrace."""
+    a, b = src.words(), tgt.words()
+    n, m = len(a), len(b)
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        dist[i][0] = i
+    for j in range(m + 1):
+        dist[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            diag = dist[i - 1][j - 1] + (0 if a[i - 1] == b[j - 1] else 1)
+            dist[i][j] = min(diag, dist[i - 1][j] + 1, dist[i][j - 1] + 1)
+    ops = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            equal = a[i - 1] == b[j - 1]
+            if dist[i][j] == dist[i - 1][j - 1] + (0 if equal else 1):
+                kind = AlignKind.EQUAL if equal else AlignKind.SUBSTITUTE
+                ops.append(AlignOp(kind, src_index=i - 1, tgt_index=j - 1))
+                i, j = i - 1, j - 1
+                continue
+        if i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            ops.append(AlignOp(AlignKind.DELETE, src_index=i - 1))
+            i -= 1
+            continue
+        ops.append(AlignOp(AlignKind.INSERT, tgt_index=j - 1))
+        j -= 1
+    return ops[::-1]
+
+
+def reference_transform(kind: TransformKind, token: Token, lex: VerbLexicon) -> list[Token]:
+    """The 1:1 transforms as an if-chain that builds the output token."""
+    text = token.text
+    if kind is TransformKind.CASE_CAPITAL:
+        out = text[:1].upper() + text[1:]
+    elif kind is TransformKind.CASE_LOWER:
+        out = text.lower()
+    elif kind is TransformKind.CASE_UPPER:
+        out = text.upper()
+    elif kind is TransformKind.VERB_VB_VBZ:
+        out = lex.inflect(text, "VBZ") or text
+    elif kind is TransformKind.VERB_VB_VBD:
+        out = lex.inflect(text, "VBD") or text
+    elif kind is TransformKind.VERB_VBZ_VB:
+        out = lex.uninflect(text, "VBZ") or text
+    elif kind is TransformKind.VERB_VBD_VB:
+        out = lex.uninflect(text, "VBD") or text
+    elif kind is TransformKind.PLURAL:
+        out = _pluralize(text)
+    elif kind is TransformKind.SINGULAR:
+        out = _singularize(text) or text
+    else:
+        raise AssertionError(f"{kind} is not a 1:1 transform")
+    return [Token(out)]
+
+
+ONE_TO_ONE = tuple(
+    k for k in TransformKind
+    if k not in (TransformKind.MERGE_SPACE, TransformKind.MERGE_HYPHEN, TransformKind.SPLIT_HYPHEN)
+)
+
+
+def reference_recognize(src_word: str, tgt_word: str, lex: VerbLexicon) -> TransformKind | None:
+    """The recognizer comparing Token lists for every candidate kind."""
+    if src_word == tgt_word:
+        return None
+    src = Token(src_word)
+    for kind in ONE_TO_ONE:
+        if reference_transform(kind, src, lex) == [Token(tgt_word)]:
+            return kind
+    return None
+
+
+def reference_has_whitespace(word: str) -> bool:
+    return any(ch.isspace() for ch in word)
+
+
+def reference_stat_train(corpus, vocab, epochs, learning_rate, seed, dim) -> StatTaggerModel:
+    """SGD with ``np.add.at`` scatter updates of the hashed feature rows."""
+    model = StatTaggerModel(
+        n_classes=len(vocab), hash_seed=seed, dim=dim, vocab_sha256=vocab.sha256()
+    )
+    samples = []
+    for src, tgt in corpus:
+        for i, tag in enumerate(extract_tags(src, tgt, vocab=vocab)):
+            det_label = 0.0 if tag.kind is EditKind.KEEP else 1.0
+            samples.append((model._indices(src, i), vocab.id_of(tag), det_label))
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(samples))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        total = 0.0
+        for k in order:
+            idxs, label, det_label = samples[k]
+            probs = _softmax(model.cls_weights[idxs].sum(axis=0) + model.cls_bias)
+            det_p = _sigmoid(float(model.det_weights[idxs].sum()) + model.det_bias)
+            total += -np.log(max(probs[label], 1e-300))
+            total += -np.log(max(det_p if det_label else 1.0 - det_p, 1e-300))
+            grad = probs.copy()
+            grad[label] -= 1.0
+            np.add.at(model.cls_weights, idxs, -learning_rate * grad)
+            model.cls_bias -= learning_rate * grad
+            det_grad = det_p - det_label
+            np.add.at(model.det_weights, idxs, -learning_rate * det_grad)
+            model.det_bias -= learning_rate * det_grad
+        model.epoch_losses.append(total / len(samples))
+    return model
+
+
+# ----------------------------------------------------------------------- tests
+
+# Four words make substitutions, repeats and equal-word anchors common.
+small_words = st.lists(st.sampled_from("abcd"), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_words, small_words)
+def test_align_matches_min_reference(src_words, tgt_words):
+    src, tgt = TokenSeq.from_words(src_words), TokenSeq.from_words(tgt_words)
+    assert align(src, tgt) == reference_align(src, tgt)
+
+
+def _lexicon_words() -> list[str]:
+    text = resources.files("tagsimp").joinpath("data/verb_forms.tsv").read_text(encoding="utf-8")
+    words = set()
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            base, _, inflected = line.split("\t")
+            words.update((base, inflected))
+    return sorted(words)
+
+
+def _variants(word: str) -> set[str]:
+    """Case, plural and singular forms of a word, the word included."""
+    forms = {word, word.lower(), word.upper(), word[:1].upper() + word[1:], _pluralize(word)}
+    singular = _singularize(word)
+    if singular:
+        forms.add(singular)
+    return forms
+
+
+EXTRA_WORDS = ["city", "box", "church", "class", "Paris", "x", "iPhone", "straße"]
+RECOGNIZER_WORDS = sorted({v for w in _lexicon_words() + EXTRA_WORDS for v in _variants(w)})
+
+
+def test_recognizer_kinds_are_the_one_to_one_transforms():
+    assert RECOGNIZER_KINDS == ONE_TO_ONE
+
+
+def test_recognizer_matches_token_list_reference():
+    lex = default_lexicon()
+    recognized = 0
+    for src_word in RECOGNIZER_WORDS:
+        # Every 1:1 output of the word, its own variants, and unrelated words.
+        outputs = {reference_transform(k, Token(src_word), lex)[0].text for k in ONE_TO_ONE}
+        for tgt_word in sorted(outputs | _variants(src_word) | set(RECOGNIZER_WORDS[::25])):
+            got = recognize_substitution(src_word, tgt_word)
+            assert got is reference_recognize(src_word, tgt_word, lex), (src_word, tgt_word)
+            recognized += got is not None
+    assert recognized > 500
+
+
+def test_one_to_one_transforms_match_reference():
+    lex = default_lexicon()
+    for word in RECOGNIZER_WORDS:
+        for kind in ONE_TO_ONE:
+            assert apply_transform(kind, Token(word)) == reference_transform(kind, Token(word), lex)
+
+
+def test_whitespace_predicate_over_every_code_point():
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for ch in spaces:
+        for word in (ch, "a" + ch, ch + "a", "a" + ch + "b"):
+            with pytest.raises(ValueError, match="whitespace"):
+                Token(word)
+        with pytest.raises(MalformedTag):
+            parse_tag("$APPEND_a" + ch + "b")
+    # No other code point is treated as whitespace.
+    for c in range(sys.maxunicode + 1):
+        word = "a" + chr(c)
+        assert _has_whitespace(word) == reference_has_whitespace(word)
+
+
+def test_row_add_training_is_bitwise_add_at():
+    # dim=8: a token of two or more letters has at least ten features, so
+    # duplicate hash indices within one token are certain.
+    text_pairs = [
+        ("the cat sat on the mat", "the cat sat"),
+        ("a big dog ran fast", "a dog ran"),
+        ("he convert the files", "he converts files"),
+        ("she wrote a long letter", "she writes a letter today"),
+    ]
+    corpus = [(tokenize(s), tokenize(t)) for s, t in text_pairs] * 3
+    vocab = vocab_for(text_pairs)
+    fast = stat_train(corpus, vocab, epochs=3, learning_rate=0.3, seed=5, dim=8)
+    ref = reference_stat_train(corpus, vocab, epochs=3, learning_rate=0.3, seed=5, dim=8)
+    assert fast.cls_weights.tobytes() == ref.cls_weights.tobytes()
+    assert fast.cls_bias.tobytes() == ref.cls_bias.tobytes()
+    assert fast.det_weights.tobytes() == ref.det_weights.tobytes()
+    assert np.float64(fast.det_bias).tobytes() == np.float64(ref.det_bias).tobytes()
+    assert fast.epoch_losses == ref.epoch_losses
+    assert np.any(fast.cls_weights != 0)

@@ -28,6 +28,17 @@ class TestTagPrediction:
         with pytest.raises(InvariantViolation):
             TagPrediction(detect=np.array([1.5]), dist=np.array([[1.0, 0.0]]))
 
+    def test_nan_detect_rejected(self):
+        # A NaN detection fails every comparison, so it would slip past the
+        # minimum-edit gate if it were accepted.
+        with pytest.raises(InvariantViolation, match="outside"):
+            TagPrediction(detect=np.array([np.nan, 0.0]), dist=np.array([[1.0, 0.0]] * 2))
+
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.nan, np.nan]])
+    def test_non_finite_dist_row_rejected(self, row):
+        with pytest.raises(InvariantViolation):
+            TagPrediction(detect=np.zeros(2), dist=np.array([[1.0, 0.0], row]))
+
 
 class TestOraclePredict:
     def test_identical_pair(self):
