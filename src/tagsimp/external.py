@@ -122,7 +122,11 @@ class ExternalTaggerClient:
         self._vocab_size = len(vocab)
         self._lock = threading.Lock()
         self._next_id = 0
-        self._handshake(vocab)
+        try:
+            self._handshake(vocab)
+        except BaseException:
+            transport.close()  # the caller gets no client to close
+            raise
 
     @classmethod
     def from_command(cls, argv: Sequence[str], vocab: TagVocabulary) -> "ExternalTaggerClient":

@@ -34,32 +34,23 @@ def _hash_feature(name: str, seed: int, dim: int) -> int:
     return int.from_bytes(digest, "little") % dim
 
 
-def token_features(seq: TokenSeq, position: int) -> list[str]:
-    """Feature strings for one token position."""
+def sentence_features(seq: TokenSeq) -> list[list[str]]:
+    """Feature strings of every token position."""
     texts = [tok.text for tok in seq.tokens]
-    text = texts[position]
-    feats = [f"w={text}", f"lw={text.lower()}"]
-    for offset in (-2, -1, 1, 2):
-        j = position + offset
-        ctx = texts[j] if 0 <= j < len(texts) else _PAD
-        feats.append(f"w{offset:+d}={ctx}")
-    for k in range(1, 4):
-        if len(text) >= k:
-            feats.append(f"pre{k}={text[:k]}")
-            feats.append(f"suf{k}={text[-k:]}")
-    if seq.tokens[position].is_start:
-        feats.append("start")
-    return feats
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + np.exp(-x))
+    padded = [_PAD, _PAD] + texts + [_PAD, _PAD]
+    out = []
+    for position, text in enumerate(texts):
+        feats = [f"w={text}", f"lw={text.lower()}"]
+        for offset in (-2, -1, 1, 2):
+            feats.append(f"w{offset:+d}={padded[position + 2 + offset]}")
+        for k in range(1, 4):
+            if len(text) >= k:
+                feats.append(f"pre{k}={text[:k]}")
+                feats.append(f"suf{k}={text[-k:]}")
+        if seq.tokens[position].is_start:
+            feats.append("start")
+        out.append(feats)
+    return out
 
 
 class StatTaggerModel:
@@ -78,28 +69,35 @@ class StatTaggerModel:
         self.epoch_losses: list[float] = []
         self._hash_cache: dict[str, int] = {}
 
-    def _indices(self, seq: TokenSeq, position: int) -> np.ndarray:
+    def _sentence_indices(self, seq: TokenSeq) -> list[list[int]]:
         cache = self._hash_cache
-        idxs = []
-        for feat in token_features(seq, position):
-            h = cache.get(feat)
-            if h is None:
-                h = _hash_feature(feat, self.hash_seed, self.dim)
-                cache[feat] = h
-            idxs.append(h)
-        return np.asarray(idxs, dtype=np.intp)
+        features = sentence_features(seq)
+        for feat in {f for feats in features for f in feats}.difference(cache):
+            cache[feat] = _hash_feature(feat, self.hash_seed, self.dim)
+        return [[cache[f] for f in feats] for feats in features]
+
+    def _probs(self, features: Sequence[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """Detection probabilities and tag distributions of the tokens' features."""
+        # Per-token summation order is fixed, so training and prediction agree
+        # bit for bit: class rows are added one by one in feature order, as
+        # ``cls_weights[idxs].sum(axis=0)`` adds them, and detection keeps one
+        # ``det_weights[idxs].sum()`` per token.  reduceat and BLAS would reorder.
+        weights = self.cls_weights
+        dist = np.empty((len(features), self.n_classes))
+        for row, idxs in zip(dist, features):
+            row[:] = weights[idxs[0]]
+            for h in idxs[1:]:
+                row += weights[h]
+        dist += self.cls_bias
+        dist -= dist.max(axis=1, keepdims=True)
+        np.exp(dist, out=dist)
+        dist /= dist.sum(axis=1, keepdims=True)
+        det = np.array([self.det_weights[idxs].sum() for idxs in features])
+        det += self.det_bias
+        return 1.0 / (1.0 + np.exp(-det)), dist
 
     def predict_batch(self, seqs: Sequence[TokenSeq]) -> list[TagPrediction]:
-        out = []
-        for seq in seqs:
-            dist = np.empty((len(seq), self.n_classes), dtype=np.float64)
-            detect = np.empty(len(seq), dtype=np.float64)
-            for i in range(len(seq)):
-                idxs = self._indices(seq, i)
-                dist[i] = _softmax(self.cls_weights[idxs].sum(axis=0) + self.cls_bias)
-                detect[i] = _sigmoid(float(self.det_weights[idxs].sum()) + self.det_bias)
-            out.append(TagPrediction(detect=detect, dist=dist))
-        return out
+        return [TagPrediction(*self._probs(self._sentence_indices(seq))) for seq in seqs]
 
     def save(self, path) -> None:
         meta = {
@@ -149,11 +147,10 @@ def stat_train(
     model = StatTaggerModel(
         n_classes=len(vocab), hash_seed=seed, dim=dim, vocab_sha256=vocab.sha256()
     )
-    samples: list[tuple[np.ndarray, int, float]] = []
+    samples: list[tuple[list[int], int, float]] = []
     for src, tgt in corpus:
         tags = extract_tags(src, tgt, vocab=vocab, lexicon=lexicon)
-        for i, tag in enumerate(tags):
-            idxs = model._indices(src, i)
+        for tag, idxs in zip(tags, model._sentence_indices(src)):
             samples.append((idxs, vocab.id_of(tag), 0.0 if tag.kind is EditKind.KEEP else 1.0))
     if not samples:
         raise EmptyCorpus("stat_train needs a non-empty corpus")
@@ -165,14 +162,13 @@ def stat_train(
         total = 0.0
         for k in order:
             idxs, label, det_label = samples[k]
-            probs = _softmax(model.cls_weights[idxs].sum(axis=0) + model.cls_bias)
-            det_p = _sigmoid(float(model.det_weights[idxs].sum()) + model.det_bias)
+            det, dist = model._probs([idxs])
+            det_p, probs = float(det[0]), dist[0]
             total += -np.log(max(probs[label], 1e-300))
             total += -np.log(max(det_p if det_label else 1.0 - det_p, 1e-300))
 
-            grad = probs.copy()
-            grad[label] -= 1.0
-            step = -learning_rate * grad
+            probs[label] -= 1.0  # now the gradient
+            step = -learning_rate * probs
             det_step = -learning_rate * (det_p - det_label)
             # In-order row adds: bitwise np.add.at, duplicate indices included.
             for h in idxs:

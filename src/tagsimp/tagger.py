@@ -45,7 +45,7 @@ class TagPrediction:
         # "Not within bounds" rejects NaN too; a NaN or inf in dist spoils its row sum.
         if not np.all((self.detect >= 0) & (self.detect <= 1)):
             raise InvariantViolation("detection probabilities outside [0, 1]")
-        if np.any(self.dist < 0):
+        if self.dist.min(initial=0.0) < 0:
             raise InvariantViolation("negative probability in distribution row")
         sums = self.dist.sum(axis=1)
         bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE)

@@ -87,8 +87,11 @@ class TestSubprocessPeer:
     def test_peer_death(self, vocab_file):
         vocab, path = vocab_file
         client = client_for(vocab, path, "die")
-        with pytest.raises(PeerUnavailable):
-            client.predict_batch([tokenize("a")])
+        try:
+            with pytest.raises(PeerUnavailable):
+                client.predict_batch([tokenize("a")])
+        finally:
+            client.close()
 
     def test_unstartable_peer(self, vocab_file):
         vocab, _ = vocab_file
@@ -166,8 +169,11 @@ class TestTcpPeer:
 class _ScriptedTransport:
     """In-memory Transport: answers the handshake, then replays fixed lines."""
 
-    def __init__(self, vocab, replies):
-        self._replies = [json.dumps({"hello": {"vocab_sha256": vocab.sha256()}})] + replies
+    def __init__(self, vocab, replies, hello=None):
+        if hello is None:
+            hello = json.dumps({"hello": {"vocab_sha256": vocab.sha256()}})
+        self._replies = [hello] + replies
+        self.closed = False
 
     def send_line(self, line):
         pass
@@ -176,7 +182,26 @@ class _ScriptedTransport:
         return self._replies.pop(0) + "\n"
 
     def close(self):
-        pass
+        self.closed = True
+
+
+class TestFailedHandshakeClosesTransport:
+    @pytest.mark.parametrize("hello", [
+        json.dumps({"hello": {"vocab_sha256": "0" * 64}}),  # vocabulary mismatch
+        json.dumps(["hello"]),  # not an object
+    ])
+    def test_transport_closed(self, vocab_file, hello):
+        vocab, _ = vocab_file
+        transport = _ScriptedTransport(vocab, [], hello=hello)
+        with pytest.raises(ProtocolError):
+            ExternalTaggerClient(transport, vocab)
+        assert transport.closed
+
+    def test_successful_handshake_keeps_transport_open(self, vocab_file):
+        vocab, _ = vocab_file
+        transport = _ScriptedTransport(vocab, [])
+        ExternalTaggerClient(transport, vocab)
+        assert not transport.closed
 
 
 class TestNonFiniteNumbers:

@@ -1,9 +1,10 @@
-"""The set-up fast paths against the straightforward implementations they replaced.
+"""The fast paths against the straightforward implementations they replaced.
 
-Alignment, the substitution recognizer, the word whitespace check and SGD
-training all have a faster form in the package.  The slower forms are kept
-here as references; each test requires exactly equal results (bitwise for
-the trained weights), because the fast paths do the same arithmetic.
+Alignment, the substitution recognizer, the word whitespace check, SGD
+training and stat prediction all have a faster form in the package.  The
+slower forms are kept here as references; each test requires exactly equal
+results (bitwise for trained weights and predicted probabilities), because
+the fast paths do the same arithmetic.
 """
 
 import sys
@@ -34,7 +35,7 @@ from tagsimp.core import (
     tokenize,
 )
 from tagsimp.errors import MalformedTag
-from tagsimp.stat_tagger import StatTaggerModel, _sigmoid, _softmax, stat_train
+from tagsimp.stat_tagger import StatTaggerModel, _hash_feature, stat_train
 
 
 # ------------------------------------------------------------------ references
@@ -119,6 +120,50 @@ def reference_has_whitespace(word: str) -> bool:
     return any(ch.isspace() for ch in word)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _sigmoid(x: float) -> float:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_token_features(seq: TokenSeq, position: int) -> list[str]:
+    """Feature strings for one token position, with a bounds check per window slot."""
+    texts = [tok.text for tok in seq.tokens]
+    text = texts[position]
+    feats = [f"w={text}", f"lw={text.lower()}"]
+    for offset in (-2, -1, 1, 2):
+        j = position + offset
+        ctx = texts[j] if 0 <= j < len(texts) else "<pad>"
+        feats.append(f"w{offset:+d}={ctx}")
+    for k in range(1, 4):
+        if len(text) >= k:
+            feats.append(f"pre{k}={text[:k]}")
+            feats.append(f"suf{k}={text[-k:]}")
+    if seq.tokens[position].is_start:
+        feats.append("start")
+    return feats
+
+
+def reference_indices(model: StatTaggerModel, seq: TokenSeq, position: int) -> np.ndarray:
+    feats = reference_token_features(seq, position)
+    return np.asarray([_hash_feature(f, model.hash_seed, model.dim) for f in feats], dtype=np.intp)
+
+
+def reference_predict(model: StatTaggerModel, seq: TokenSeq) -> tuple[np.ndarray, np.ndarray]:
+    """Per token: gather and sum the weight rows, then its own softmax and sigmoid."""
+    dist = np.empty((len(seq), model.n_classes), dtype=np.float64)
+    detect = np.empty(len(seq), dtype=np.float64)
+    for i in range(len(seq)):
+        idxs = reference_indices(model, seq, i)
+        dist[i] = _softmax(model.cls_weights[idxs].sum(axis=0) + model.cls_bias)
+        detect[i] = _sigmoid(float(model.det_weights[idxs].sum()) + model.det_bias)
+    return detect, dist
+
+
 def reference_stat_train(corpus, vocab, epochs, learning_rate, seed, dim) -> StatTaggerModel:
     """SGD with ``np.add.at`` scatter updates of the hashed feature rows."""
     model = StatTaggerModel(
@@ -128,7 +173,7 @@ def reference_stat_train(corpus, vocab, epochs, learning_rate, seed, dim) -> Sta
     for src, tgt in corpus:
         for i, tag in enumerate(extract_tags(src, tgt, vocab=vocab)):
             det_label = 0.0 if tag.kind is EditKind.KEEP else 1.0
-            samples.append((model._indices(src, i), vocab.id_of(tag), det_label))
+            samples.append((reference_indices(model, src, i), vocab.id_of(tag), det_label))
     rng = np.random.default_rng(seed)
     order = np.arange(len(samples))
     for _ in range(epochs):
@@ -245,3 +290,32 @@ def test_row_add_training_is_bitwise_add_at():
     assert np.float64(fast.det_bias).tobytes() == np.float64(ref.det_bias).tobytes()
     assert fast.epoch_losses == ref.epoch_losses
     assert np.any(fast.cls_weights != 0)
+
+
+# Words of 1-3 characters give tokens 8, 10 or 12 features; the sentinel has 13.
+short_words = st.text("abAB", min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sentences=st.lists(st.lists(short_words, max_size=10), min_size=1, max_size=4),
+    n_classes=st.integers(2, 70),
+    dim=st.sampled_from([8, 4096]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sentence_predict_is_bitwise_per_token_reference(sentences, n_classes, dim, scale, seed):
+    rng = np.random.default_rng(seed)
+    model = StatTaggerModel(n_classes=n_classes, hash_seed=seed % 1000, dim=dim)
+    model.cls_weights = rng.normal(size=(dim, n_classes)) * scale
+    model.cls_bias = rng.normal(size=n_classes) * scale
+    model.det_weights = rng.normal(size=dim) * scale
+    model.det_bias = float(rng.normal()) * scale
+    seqs = [TokenSeq.from_words(words) for words in sentences]
+    with np.errstate(over="ignore"):  # large weights saturate the sigmoid
+        preds = model.predict_batch(seqs)
+        refs = [reference_predict(model, seq) for seq in seqs]
+    assert len(preds) == len(seqs)
+    for pred, (detect, dist) in zip(preds, refs):
+        assert pred.detect.tobytes() == detect.tobytes()
+        assert pred.dist.tobytes() == dist.tobytes()

@@ -4,7 +4,7 @@ import pytest
 from conftest import vocab_for
 from tagsimp.core import tokenize
 from tagsimp.errors import EmptyCorpus
-from tagsimp.stat_tagger import StatTaggerModel, stat_train, token_features
+from tagsimp.stat_tagger import StatTaggerModel, sentence_features, stat_train
 
 DIM = 2 ** 12  # small hash space keeps these tests quick
 
@@ -15,7 +15,7 @@ def pairs_of(text_pairs):
 
 class TestFeatures:
     def test_window_and_affixes(self):
-        feats = token_features(tokenize("alpha beta gamma"), 2)
+        feats = sentence_features(tokenize("alpha beta gamma"))[2]
         assert "w=beta" in feats
         assert "lw=beta" in feats
         assert "w-1=alpha" in feats
@@ -25,7 +25,7 @@ class TestFeatures:
         assert "pre3=bet" in feats and "suf3=eta" in feats
 
     def test_sentinel_marker(self):
-        feats = token_features(tokenize("a"), 0)
+        feats = sentence_features(tokenize("a"))[0]
         assert "start" in feats
 
 
