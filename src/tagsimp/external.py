@@ -76,6 +76,8 @@ class SubprocessTransport:
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
+        if self._proc.stdout is not None:
+            self._proc.stdout.close()
 
 
 class TcpTransport:
@@ -103,15 +105,34 @@ class TcpTransport:
         return line
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        # The makefile streams hold the socket's fd open until they close too.
+        for stream in (self._reader, self._writer, self._sock):
+            try:
+                stream.close()
+            except OSError:
+                pass
 
 
 def _reject_constant(name: str) -> NoReturn:
-    """``json.loads`` hook for ``NaN``/``Infinity``, which are not JSON numbers."""
+    """Decoder hook for ``NaN``/``Infinity``, which are not JSON numbers."""
     raise ProtocolError(f"peer sent non-finite number {name}")
+
+
+def _dist_to_array(obj: dict) -> dict:
+    """Decoder hook: makes a prediction's ``dist`` rows one float64 array as the
+    scanner completes the object, so its Python floats are freed before the next
+    prediction is parsed.  Rows numpy cannot convert stay a list, which
+    ``_parse_prediction`` and ``np.asarray`` reject as before."""
+    dist = obj.get("dist")
+    if type(dist) is list and "detect" in obj:
+        try:
+            obj["dist"] = np.array(dist, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, object_hook=_dist_to_array)
 
 
 class ExternalTaggerClient:
@@ -151,7 +172,7 @@ class ExternalTaggerClient:
     def _read_json(self) -> dict:
         line = self._transport.recv_line()
         try:
-            msg = json.loads(line, parse_constant=_reject_constant)
+            msg = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"peer sent invalid JSON: {line!r}") from exc
         if not isinstance(msg, dict):
@@ -183,10 +204,10 @@ class ExternalTaggerClient:
         dist = raw["dist"]
         if not isinstance(detect, list) or len(detect) != n_tokens:
             raise ProtocolError(f"detect must have {n_tokens} entries")
-        if not isinstance(dist, list) or len(dist) != n_tokens:
+        if not isinstance(dist, (list, np.ndarray)) or len(dist) != n_tokens:
             raise ProtocolError(f"dist must have {n_tokens} rows")
         for row in dist:
-            if not isinstance(row, list) or len(row) != self._vocab_size:
+            if not isinstance(row, (list, np.ndarray)) or len(row) != self._vocab_size:
                 raise ProtocolError(f"dist rows must have {self._vocab_size} entries")
         # Probability invariants (row sums, ranges) raise InvariantViolation.
         return TagPrediction(

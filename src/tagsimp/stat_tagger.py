@@ -94,7 +94,8 @@ class StatTaggerModel:
         dist /= dist.sum(axis=1, keepdims=True)
         det = np.array([self.det_weights[idxs].sum() for idxs in features])
         det += self.det_bias
-        return 1.0 / (1.0 + np.exp(-det)), dist
+        with np.errstate(over="ignore"):  # exp(-det) overflows to inf, giving 0.0
+            return 1.0 / (1.0 + np.exp(-det)), dist
 
     def predict_batch(self, seqs: Sequence[TokenSeq]) -> list[TagPrediction]:
         return [TagPrediction(*self._probs(self._sentence_indices(seq))) for seq in seqs]

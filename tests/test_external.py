@@ -1,16 +1,19 @@
+import gc
 import json
 import socket
 import sys
 import threading
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import vocab_for
-from tagsimp.core import tokenize
+from tagsimp.core import TagVocabulary, TokenSeq, tokenize
 from tagsimp.errors import InvariantViolation, PeerUnavailable, ProtocolError
-from tagsimp.external import ExternalTaggerClient, TcpTransport
+from tagsimp.external import ExternalTaggerClient, SubprocessTransport, TcpTransport
 
 PEER = Path(__file__).parent / "peer_main.py"
 
@@ -126,9 +129,13 @@ class _TcpPeer(threading.Thread):
         self.port = self.server.getsockname()[1]
 
     def run(self):
-        conn, _ = self.server.accept()
-        reader = conn.makefile("r", encoding="utf-8")
-        writer = conn.makefile("w", encoding="utf-8")
+        with self.server:
+            conn, _ = self.server.accept()
+        with conn, conn.makefile("r", encoding="utf-8") as reader, \
+                conn.makefile("w", encoding="utf-8") as writer:
+            self._serve(reader, writer)
+
+    def _serve(self, reader, writer):
         json.loads(reader.readline())
         writer.write(json.dumps({"hello": {"vocab_sha256": self.sha}}) + "\n")
         writer.flush()
@@ -143,7 +150,6 @@ class _TcpPeer(threading.Thread):
                 })
             writer.write(json.dumps({"id": request["id"], "predictions": preds}) + "\n")
             writer.flush()
-        conn.close()
 
 
 class TestTcpPeer:
@@ -152,9 +158,13 @@ class TestTcpPeer:
         peer = _TcpPeer(vocab)
         peer.start()
         client = ExternalTaggerClient(TcpTransport("127.0.0.1", peer.port), vocab)
-        preds = client.predict_batch([tokenize("a b c")])
-        assert len(preds) == 1 and len(preds[0]) == 4
-        client.close()
+        try:
+            preds = client.predict_batch([tokenize("a b c")])
+            assert len(preds) == 1 and len(preds[0]) == 4
+        finally:
+            client.close()
+        peer.join(timeout=10)  # the peer's read loop ends at EOF
+        assert not peer.is_alive()
 
     def test_connection_refused(self, vocab_file):
         vocab, _ = vocab_file
@@ -172,14 +182,14 @@ class _ScriptedTransport:
     def __init__(self, vocab, replies, hello=None):
         if hello is None:
             hello = json.dumps({"hello": {"vocab_sha256": vocab.sha256()}})
-        self._replies = [hello] + replies
+        self._replies = [line + "\n" for line in [hello] + replies]
         self.closed = False
 
     def send_line(self, line):
         pass
 
     def recv_line(self):
-        return self._replies.pop(0) + "\n"
+        return self._replies.pop(0)
 
     def close(self):
         self.closed = True
@@ -216,3 +226,53 @@ class TestNonFiniteNumbers:
         client = ExternalTaggerClient(_ScriptedTransport(vocab, [reply]), vocab)
         with pytest.raises(ProtocolError, match="non-finite"):
             client.predict_batch([tokenize("a")])
+
+
+class TestTransportClose:
+    def test_tcp_close_sends_eof(self):
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen(1)
+            transport = TcpTransport("127.0.0.1", server.getsockname()[1])
+            conn, _ = server.accept()
+            with conn:
+                conn.settimeout(10)
+                transport.close()
+                assert conn.recv(1) == b""  # EOF, not a timeout
+        assert transport._reader.closed and transport._writer.closed
+
+    def test_subprocess_close_releases_the_pipes(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            transport = SubprocessTransport([sys.executable, "-c", "import sys; sys.stdin.read()"])
+            transport.close()
+            assert transport._proc.stdout.closed
+            assert transport._proc.returncode is not None
+            del transport
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_reply_decoding_peak_memory_is_bounded_by_its_arrays():
+    # Decoded as one Python object first, the reply's floats would cost about
+    # five times the arrays they become; decoding each prediction's rows as it
+    # completes leaves one prediction's floats on top of the arrays.
+    n_tags, n_sentences, n_tokens = 2000, 32, 12
+    vocab = TagVocabulary.from_counts({f"$APPEND_w{i}": 1 for i in range(n_tags - 2)}, n_tags)
+    seqs = [TokenSeq.from_words(["w"] * (n_tokens - 1)) for _ in range(n_sentences)]
+    row = [1.0 / n_tags] * n_tags
+    prediction = {"detect": [0.0] * n_tokens, "dist": [row] * n_tokens}
+    reply = json.dumps({"id": 0, "predictions": [prediction] * n_sentences})
+    assert len(reply) > 6_000_000
+    client = ExternalTaggerClient(_ScriptedTransport(vocab, [reply]), vocab)
+    del reply, prediction
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        preds = client.predict_batch(seqs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    array_bytes = sum(p.detect.nbytes + p.dist.nbytes for p in preds)
+    assert array_bytes == n_sentences * n_tokens * (n_tags + 1) * 8
+    assert peak <= 1.5 * array_bytes

@@ -1,12 +1,14 @@
 """The fast paths against the straightforward implementations they replaced.
 
 Alignment, the substitution recognizer, the word whitespace check, SGD
-training and stat prediction all have a faster form in the package.  The
-slower forms are kept here as references; each test requires exactly equal
-results (bitwise for trained weights and predicted probabilities), because
-the fast paths do the same arithmetic.
+training, stat prediction and the peer reply decoder all have a faster form
+in the package.  The slower forms are kept here as references; each test
+requires exactly equal results (bitwise for trained weights and predicted
+probabilities, the same exception and message for rejected replies),
+because the fast paths do the same arithmetic.
 """
 
+import json
 import sys
 from importlib import resources
 
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import vocab_for
+from test_external import _ScriptedTransport
 from tagsimp.align import AlignKind, AlignOp, align, extract_tags
 from tagsimp.apply import (
     RECOGNIZER_KINDS,
@@ -27,6 +30,7 @@ from tagsimp.apply import (
 )
 from tagsimp.core import (
     EditKind,
+    TagVocabulary,
     Token,
     TokenSeq,
     TransformKind,
@@ -34,8 +38,10 @@ from tagsimp.core import (
     parse_tag,
     tokenize,
 )
-from tagsimp.errors import MalformedTag
+from tagsimp.errors import MalformedTag, ProtocolError
+from tagsimp.external import ExternalTaggerClient
 from tagsimp.stat_tagger import StatTaggerModel, _hash_feature, stat_train
+from tagsimp.tagger import TagPrediction
 
 
 # ------------------------------------------------------------------ references
@@ -196,6 +202,43 @@ def reference_stat_train(corpus, vocab, epochs, learning_rate, seed, dim) -> Sta
     return model
 
 
+def _reject_constant(name):
+    raise ProtocolError(f"peer sent non-finite number {name}")
+
+
+def reference_decode_reply(line: str, lengths: list[int], vocab_size: int) -> list[TagPrediction]:
+    """The whole reply through ``json.loads``, then list checks and ``np.asarray``."""
+    try:
+        msg = json.loads(line, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(f"peer sent invalid JSON: {line!r}") from exc
+    if not isinstance(msg, dict):
+        raise ProtocolError(f"peer message is not an object: {msg!r}")
+    if msg.get("id") != 0:
+        raise ProtocolError(f"response id {msg.get('id')!r} does not echo 0")
+    preds = msg.get("predictions")
+    if not isinstance(preds, list) or len(preds) != len(lengths):
+        got = len(preds) if isinstance(preds, list) else preds
+        raise ProtocolError(f"expected {len(lengths)} predictions, got {got!r}")
+    out = []
+    for n_tokens, raw in zip(lengths, preds):
+        if not isinstance(raw, dict) or "detect" not in raw or "dist" not in raw:
+            raise ProtocolError(f"prediction must have detect and dist: {raw!r}")
+        detect, dist = raw["detect"], raw["dist"]
+        if not isinstance(detect, list) or len(detect) != n_tokens:
+            raise ProtocolError(f"detect must have {n_tokens} entries")
+        if not isinstance(dist, list) or len(dist) != n_tokens:
+            raise ProtocolError(f"dist must have {n_tokens} rows")
+        for row in dist:
+            if not isinstance(row, list) or len(row) != vocab_size:
+                raise ProtocolError(f"dist rows must have {vocab_size} entries")
+        out.append(TagPrediction(
+            detect=np.asarray(detect, dtype=np.float64),
+            dist=np.asarray(dist, dtype=np.float64),
+        ))
+    return out
+
+
 # ----------------------------------------------------------------------- tests
 
 # Four words make substitutions, repeats and equal-word anchors common.
@@ -312,10 +355,158 @@ def test_sentence_predict_is_bitwise_per_token_reference(sentences, n_classes, d
     model.det_weights = rng.normal(size=dim) * scale
     model.det_bias = float(rng.normal()) * scale
     seqs = [TokenSeq.from_words(words) for words in sentences]
-    with np.errstate(over="ignore"):  # large weights saturate the sigmoid
-        preds = model.predict_batch(seqs)
+    preds = model.predict_batch(seqs)
+    with np.errstate(over="ignore"):  # large weights saturate the reference sigmoid
         refs = [reference_predict(model, seq) for seq in seqs]
     assert len(preds) == len(seqs)
     for pred, (detect, dist) in zip(preds, refs):
         assert pred.detect.tobytes() == detect.tobytes()
         assert pred.dist.tobytes() == dist.tobytes()
+
+
+def _decode_outcomes(line: str, lengths: list[int], vocab_size: int):
+    """The package's and the reference's decoding of one reply: arrays or the error."""
+    vocab = TagVocabulary.from_counts({f"$APPEND_w{i}": 1 for i in range(vocab_size - 2)}, vocab_size)
+    client = ExternalTaggerClient(_ScriptedTransport(vocab, [line]), vocab)
+    seqs = [TokenSeq.from_words(["w"] * (n - 1)) for n in lengths]
+    decoders = (
+        lambda: client.predict_batch(seqs),
+        lambda: reference_decode_reply(line + "\n", lengths, vocab_size),
+    )
+    outcomes = []
+    for decode in decoders:
+        try:
+            preds = decode()
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append([
+                (a.dtype, a.shape, a.tobytes()) for p in preds for a in (p.detect, p.dist)
+            ])
+    return outcomes
+
+
+def _spellings(x: float) -> list[str]:
+    """JSON spellings that all decode to ``x`` (to 0.0 for an integer ``-0``)."""
+    texts = [repr(x), "%.17e" % x, "%.17E" % x]
+    if x == 0.0:
+        texts += ["0", "-0", "-0.0", "0e0", "0.0E+00"]
+    if x == 1.0:
+        texts += ["1", "1e0", "10E-1", "0.1e1"]
+    return texts
+
+
+json_space = st.text(" \t\n\r", max_size=2)
+
+
+@st.composite
+def json_number(draw, x: float) -> str:
+    return draw(json_space) + draw(st.sampled_from(_spellings(x))) + draw(json_space)
+
+
+@st.composite
+def json_object(draw, items: list[tuple[str, str]]) -> str:
+    extra = draw(st.sampled_from([[], [("note", '"x"')]]))  # unknown keys are ignored
+    members = [
+        f'{draw(json_space)}"{key}"{draw(json_space)}:{draw(json_space)}{value}{draw(json_space)}'
+        for key, value in draw(st.permutations(items + extra))
+    ]
+    return "{" + ",".join(members) + "}"
+
+
+def json_array(texts: list[str]) -> str:
+    return "[" + ",".join(texts) + "]"
+
+
+@st.composite
+def probability_row(draw, width: int) -> list[float]:
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width))
+    total = sum(weights)
+    if total == 0.0:
+        return [1.0] + [0.0] * (width - 1)
+    return [w / total for w in weights]
+
+
+detect_value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def peer_reply(draw):
+    vocab_size = draw(st.integers(2, 6))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    predictions = []
+    for n_tokens in lengths:
+        detect = [draw(json_number(draw(detect_value))) for _ in range(n_tokens)]
+        rows = [json_array([draw(json_number(x)) for x in draw(probability_row(vocab_size))])
+                for _ in range(n_tokens)]
+        predictions.append(draw(json_object([("detect", json_array(detect)), ("dist", json_array(rows))])))
+    msg = draw(json_object([("id", "0"), ("predictions", json_array(predictions))]))
+    return draw(json_space) + msg, lengths, vocab_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(peer_reply())
+def test_reply_decoding_is_bitwise_json_loads_reference(reply):
+    line, lengths, vocab_size = reply
+    ours, reference = _decode_outcomes(line, lengths, vocab_size)
+    assert isinstance(reference, list), reference  # well-formed: decoded, not rejected
+    assert ours == reference
+
+
+_ROW = "[1.0, 0.0, 0.0]"
+
+MALFORMED_DIST = {
+    "ragged rows": f"[{_ROW}, [1.0, 0.0]]",
+    "short rows": "[[1.0, 0.0], [1.0, 0.0]]",
+    "long rows": "[[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]",
+    "non-list row": f"[{_ROW}, 1.0]",
+    "flat dist": "[1.0, 0.0]",
+    "string cell": f'[["x", 0.0, 0.0], {_ROW}]',
+    "null cell": f"[[null, 1.0, 0.0], {_ROW}]",
+    "bool cells": f"[[true, true, false], {_ROW}]",
+    "object cell": f"[[{{}}, 1.0, 0.0], {_ROW}]",
+    "prediction as a cell": f'[[{{"detect": [0.0], "dist": [[1.0]]}}, 1.0, 0.0], {_ROW}]',
+    "huge integer cell": f"[[{10**400}, 0.0, 0.0], {_ROW}]",
+    "3-d dist": "[[[1.0], [0.0], [0.0]], [[1.0], [0.0], [0.0]]]",
+    "empty dist": "[]",
+    "empty rows": "[[], []]",
+    "too few rows": f"[{_ROW}]",
+    "too many rows": f"[{_ROW}, {_ROW}, {_ROW}]",
+    "dist not a list": '"rows"',
+    "NaN cell": f"[[NaN, 0.0, 0.0], {_ROW}]",
+    "Infinity cell": f"[[Infinity, 0.0, 0.0], {_ROW}]",
+    "-Infinity cell": f"[[-Infinity, 1.0, 0.0], {_ROW}]",
+    "row sum off": f"[[0.5, 0.0, 0.0], {_ROW}]",
+    "negative cell": f"[[1.5, -0.5, 0.0], {_ROW}]",
+}
+
+
+def _reply_with(dist: str, detect: str = "[0.0, 0.0]") -> str:
+    return '{"id": 0, "predictions": [{"detect": %s, "dist": %s}]}' % (detect, dist)
+
+
+MALFORMED_REPLIES = {name: _reply_with(dist) for name, dist in MALFORMED_DIST.items()}
+MALFORMED_REPLIES.update({
+    "missing detect": '{"id": 0, "predictions": [{"dist": [%s, %s]}]}' % (_ROW, _ROW),
+    "short detect": _reply_with(f"[{_ROW}, {_ROW}]", detect="[0.0]"),
+    "NaN detect": _reply_with(f"[{_ROW}, {_ROW}]", detect="[NaN, 0.0]"),
+    "truncated line": _reply_with(f"[{_ROW}, {_ROW}]")[:-5],
+    # A bad detect is reported before any cell of dist is converted.
+    "short detect, string cell": _reply_with(MALFORMED_DIST["string cell"], detect="[0.0]"),
+    "short detect, object cell": _reply_with(MALFORMED_DIST["object cell"], detect="[0.0]"),
+    "short detect, huge integer cell": _reply_with(MALFORMED_DIST["huge integer cell"], detect="[0.0]"),
+})
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REPLIES))
+def test_malformed_reply_raises_as_reference(name):
+    ours, reference = _decode_outcomes(MALFORMED_REPLIES[name], [2], 3)
+    assert isinstance(reference, tuple), reference  # rejected
+    assert ours == reference
+
+
+@pytest.mark.parametrize("dist", [f'[["1.0", "0", 0.0], {_ROW}]', f"[[true, false, false], {_ROW}]"])
+def test_cells_numpy_converts_are_accepted_as_by_reference(dist):
+    ours, reference = _decode_outcomes(_reply_with(dist), [2], 3)
+    assert isinstance(reference, list), reference
+    assert ours == reference

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,16 @@ class TestTraining:
         vocab = vocab_for([("a", "a")])
         with pytest.raises(EmptyCorpus):
             stat_train([], vocab, epochs=1, learning_rate=0.1, seed=1, dim=DIM)
+
+
+class TestPredict:
+    def test_saturated_detection_is_zero_without_warning(self):
+        model = StatTaggerModel(n_classes=3, hash_seed=0, dim=8)
+        model.det_bias = -1000.0  # exp(1000) overflows float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (pred,) = model.predict_batch([tokenize("a b")])
+        assert pred.detect.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestModelFile:
