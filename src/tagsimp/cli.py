@@ -37,6 +37,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
 
+# Lines per simplify_batch call in `simplify`, and the `bench --batch-size` default.
+BATCH_SIZE = 128
+
 
 def _read_lines(path) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
@@ -207,23 +210,29 @@ def cmd_simplify(args) -> int:
         else:
             backend = _make_batch_backend(args, vocab, sources, lexicon)
             try:
-                results = simplify_batch(
-                    sources, backend, vocab, cfg,
-                    parallelism=args.parallelism, lexicon=lexicon,
-                )
+                if args.parallelism < 1:  # checked here too, since an empty input makes no call
+                    raise ValueError("parallelism must be >= 1")
+                # Fixed-size chunks bound the predictions alive at once; a
+                # sentence's result does not depend on the others in its batch.
+                for start in range(0, len(sources), BATCH_SIZE):
+                    chunk = sources[start : start + BATCH_SIZE]
+                    results = simplify_batch(
+                        chunk, backend, vocab, cfg,
+                        parallelism=args.parallelism, lexicon=lexicon,
+                    )
+                    for lineno, (src, item) in enumerate(zip(chunk, results), start + 1):
+                        if item.ok:
+                            outputs.append(detokenize(item.output))
+                            if trace_fh:
+                                trace_fh.write(json.dumps(item.trace.to_dict()) + "\n")
+                        else:
+                            failures += 1
+                            outputs.append(detokenize(src))  # degrade to the input line
+                            print(f"line {lineno}: {item.error}", file=sys.stderr)
+                            if trace_fh:
+                                trace_fh.write(json.dumps({"error": item.error}) + "\n")
             finally:
                 _close_backend(backend)
-            for lineno, (src, item) in enumerate(zip(sources, results), 1):
-                if item.ok:
-                    outputs.append(detokenize(item.output))
-                    if trace_fh:
-                        trace_fh.write(json.dumps(item.trace.to_dict()) + "\n")
-                else:
-                    failures += 1
-                    outputs.append(detokenize(src))  # degrade to the input line
-                    print(f"line {lineno}: {item.error}", file=sys.stderr)
-                    if trace_fh:
-                        trace_fh.write(json.dumps({"error": item.error}) + "\n")
     finally:
         if trace_fh:
             trace_fh.close()
@@ -363,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     _add_backend_args(p)
     _add_config_args(p)
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--batch-size", type=int, default=BATCH_SIZE)
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--tsv-out")

@@ -203,7 +203,8 @@ def simplify_batch(
 
     Results are identical to running :func:`simplify` per sentence for any
     parallelism level; per-sentence backend failures are recorded instead
-    of aborting the batch.
+    of aborting the batch.  Each prediction is dropped once decoded, so at
+    most one pass of predictions is alive at a time.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -221,10 +222,11 @@ def simplify_batch(
         else:
             chunks = _chunked(batch, parallelism)
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                parts = list(pool.map(lambda c: _predict_resilient(backend, c), chunks))
-            preds = [p for part in parts for p in part]
+                parts = pool.map(lambda c: _predict_resilient(backend, c), chunks)
+                preds = [p for part in parts for p in part]
         still_active = []
-        for idx, pred in zip(active, preds):
+        for k, idx in zip(range(len(preds)), active):
+            pred, preds[k] = preds[k], None  # free its rows once this loop moves on
             if isinstance(pred, Exception):
                 results[idx].error = f"{type(pred).__name__}: {pred}"
                 continue
@@ -241,6 +243,7 @@ def simplify_batch(
             states[idx] = out
             if not finished:
                 still_active.append(idx)
+        pred = preds = None  # nothing of this pass is alive when the next one predicts
         active = still_active
 
     for i, item in enumerate(results):

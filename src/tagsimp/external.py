@@ -16,6 +16,7 @@ carried (no top-k) so that ensembles stay exact.
 from __future__ import annotations
 
 import json
+import reprlib
 import socket
 import subprocess
 import threading
@@ -134,6 +135,15 @@ def _dist_to_array(obj: dict) -> dict:
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, object_hook=_dist_to_array)
 
+# Errors quote peer input through these limits: a reply line can be tens of
+# megabytes, and the engine copies the message into every failed line's error.
+# Two levels of at most three items, each at most 40 characters, stay under 1 KB.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 2
+_QUOTE.maxdict = _QUOTE.maxlist = _QUOTE.maxtuple = 3
+_QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = 40
+_quote = _QUOTE.repr
+
 
 class ExternalTaggerClient:
     """TaggerBackend backed by a protocol peer; requests are serialized."""
@@ -161,9 +171,10 @@ class ExternalTaggerClient:
         ours = vocab.sha256()
         self._transport.send_line(json.dumps({"hello": {"vocab_sha256": ours}}))
         reply = self._read_json()
-        theirs = reply.get("hello", {}).get("vocab_sha256") if isinstance(reply, dict) else None
+        hello = reply.get("hello")
+        theirs = hello.get("vocab_sha256") if isinstance(hello, dict) else None
         if not isinstance(theirs, str):
-            raise ProtocolError(f"expected hello handshake, got {reply!r}")
+            raise ProtocolError(f"expected hello handshake, got {_quote(reply)}")
         if theirs != ours:
             raise ProtocolError(
                 f"vocabulary mismatch: ours {ours[:12]}..., peer {theirs[:12]}..."
@@ -174,9 +185,9 @@ class ExternalTaggerClient:
         try:
             msg = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
-            raise ProtocolError(f"peer sent invalid JSON: {line!r}") from exc
+            raise ProtocolError(f"peer sent invalid JSON: {_quote(line)}") from exc
         if not isinstance(msg, dict):
-            raise ProtocolError(f"peer message is not an object: {msg!r}")
+            raise ProtocolError(f"peer message is not an object: {_quote(msg)}")
         return msg
 
     def predict_batch(self, seqs: Sequence[TokenSeq]) -> list[TagPrediction]:
@@ -187,11 +198,11 @@ class ExternalTaggerClient:
             self._transport.send_line(json.dumps({"id": request_id, "sentences": sentences}))
             msg = self._read_json()
         if msg.get("id") != request_id:
-            raise ProtocolError(f"response id {msg.get('id')!r} does not echo {request_id}")
+            raise ProtocolError(f"response id {_quote(msg.get('id'))} does not echo {request_id}")
         preds = msg.get("predictions")
         if not isinstance(preds, list) or len(preds) != len(seqs):
             got = len(preds) if isinstance(preds, list) else preds
-            raise ProtocolError(f"expected {len(seqs)} predictions, got {got!r}")
+            raise ProtocolError(f"expected {len(seqs)} predictions, got {_quote(got)}")
         out = []
         for seq, raw in zip(seqs, preds):
             out.append(self._parse_prediction(raw, len(seq)))
@@ -199,7 +210,7 @@ class ExternalTaggerClient:
 
     def _parse_prediction(self, raw: object, n_tokens: int) -> TagPrediction:
         if not isinstance(raw, dict) or "detect" not in raw or "dist" not in raw:
-            raise ProtocolError(f"prediction must have detect and dist: {raw!r}")
+            raise ProtocolError(f"prediction must have detect and dist: {_quote(raw)}")
         detect = raw["detect"]
         dist = raw["dist"]
         if not isinstance(detect, list) or len(detect) != n_tokens:

@@ -25,6 +25,9 @@ from .tagger import TagPrediction
 DEFAULT_HASH_DIM = 2 ** 18
 _PAD = "<pad>"
 _MAGIC = b"tagsimp-stat-model v1\n"
+# Most feature hashes a model keeps; the cache is cleared before it would grow
+# past this.  The benchmark's stat workloads reach about 16k.
+HASH_CACHE_SIZE = 2 ** 16
 
 
 def _hash_feature(name: str, seed: int, dim: int) -> int:
@@ -72,7 +75,14 @@ class StatTaggerModel:
     def _sentence_indices(self, seq: TokenSeq) -> list[list[int]]:
         cache = self._hash_cache
         features = sentence_features(seq)
-        for feat in {f for feats in features for f in feats}.difference(cache):
+        distinct = {f for feats in features for f in feats}
+        missing = distinct.difference(cache)
+        if len(cache) + len(missing) > HASH_CACHE_SIZE:
+            cache.clear()
+            missing = distinct
+            if len(distinct) > HASH_CACHE_SIZE:
+                cache = {}  # this sentence alone would overfill the model's cache
+        for feat in missing:
             cache[feat] = _hash_feature(feat, self.hash_seed, self.dim)
         return [[cache[f] for f in feats] for feats in features]
 

@@ -5,7 +5,8 @@ package, so the wire format is exercised from an independent
 implementation.  Usage: python peer_main.py VOCAB_FILE MODE
 
 Modes: ok (all-KEEP one-hots), wrong-count (one prediction short),
-bad-sum (first dist row sums to 0.5), garbage (non-JSON line),
+bad-sum (first dist row sums to 0.5), poison (like bad-sum, but only for
+sentences holding the word "poison"), garbage (non-JSON line),
 wrong-hash (handshake digest mismatch), die (exit after handshake).
 """
 
@@ -39,6 +40,8 @@ def main() -> int:
         for sentence in sentences:
             n = len(sentence)
             dist = [[1.0] + [0.0] * (vocab_size - 1) for _ in range(n)]
+            if mode == "poison" and "poison" in sentence:
+                dist[0][0] = 0.5
             detect = [0.0] * n
             predictions.append({"detect": detect, "dist": dist})
         if mode == "wrong-count" and predictions:

@@ -1,12 +1,21 @@
 import json
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from tagsimp.align import build_vocab
-from tagsimp.cli import main
-from tagsimp.core import tokenize
-from tagsimp.engine import InferenceConfig
+from tagsimp.apply import default_lexicon
+from tagsimp.cli import BATCH_SIZE, main
+from tagsimp.core import TagVocabulary, detokenize, tokenize
+from tagsimp.engine import InferenceConfig, simplify_batch
+from tagsimp.external import ExternalTaggerClient
 from tagsimp.metrics import EvalRecord, evaluate
+from tagsimp.stat_tagger import StatTaggerModel
+from tagsimp.tagger import CorpusOracleBackend
+
+PEER = Path(__file__).parent / "peer_main.py"
 
 CORPUS = [
     ("the small cat sat quietly on the mat .", "the cat sat on the mat ."),
@@ -144,6 +153,121 @@ class TestTrainAndSimplify:
         ])
         assert code == 0
         assert out_path.read_text() == "a b\n"
+
+
+class TestChunkedSimplify:
+    """`simplify` runs in chunks of BATCH_SIZE lines, with the bytes of one batch."""
+
+    WORDS = ["now", "then", "here", "there", "again", "too", "also"]
+
+    def lines(self, poison_at=None):
+        lines = [f"{CORPUS[i % 3][0]} {self.WORDS[i % 7]}" for i in range(300)]
+        if poison_at is not None:
+            lines[poison_at] = "a poison line"
+        assert len(lines) > 2 * BATCH_SIZE
+        return lines
+
+    def run_cli(self, tmp_path, capsys, lines, backend_args, parallelism):
+        inputs, out, trace = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "trace.jsonl"
+        inputs.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["simplify", str(inputs), str(out), "--trace", str(trace),
+                     "--parallelism", str(parallelism), *backend_args])
+        return code, out.read_text(encoding="utf-8"), trace.read_text(encoding="utf-8"), \
+            capsys.readouterr().err
+
+    def one_batch(self, lines, backend, vocab):
+        """What `simplify` wrote when it ran the whole input as one batch."""
+        sources = [tokenize(line) for line in lines]
+        results = simplify_batch(sources, backend, vocab, InferenceConfig.zero_tweaks(),
+                                 lexicon=default_lexicon())
+        outputs, traces, errors = [], [], []
+        for lineno, (src, item) in enumerate(zip(sources, results), 1):
+            if item.ok:
+                outputs.append(detokenize(item.output))
+                traces.append(json.dumps(item.trace.to_dict()))
+            else:
+                outputs.append(detokenize(src))
+                traces.append(json.dumps({"error": item.error}))
+                errors.append(f"line {lineno}: {item.error}")
+        if errors:
+            errors.append(f"{len(errors)} lines failed; their inputs were passed through")
+        return (3 if errors else 0, "".join(line + "\n" for line in outputs),
+                "".join(line + "\n" for line in traces), "".join(e + "\n" for e in errors))
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_stat(self, workdir, capsys, parallelism):
+        tmp_path, corpus, vocab_path = workdir
+        model_path = tmp_path / "m.model"
+        main(["--seed", "3", "train-stat", str(corpus), str(model_path),
+              "--vocab", str(vocab_path), "--epochs", "4", "--lr", "0.5",
+              "--hash-dim", "4096"])
+        lines = self.lines()
+        got = self.run_cli(tmp_path, capsys, lines, [
+            "--backend", "stat", "--vocab", str(vocab_path), "--model", str(model_path),
+        ], parallelism)
+        vocab = TagVocabulary.load(vocab_path)
+        want = self.one_batch(lines, StatTaggerModel.load(model_path), vocab)
+        assert got == want
+        assert got[1] != "".join(line + "\n" for line in lines)  # the model edits
+
+    def test_corpus_oracle(self, workdir, capsys):
+        tmp_path, _, vocab_path = workdir
+        lines = self.lines()
+        got = self.run_cli(tmp_path, capsys, lines,
+                           ["--backend", "oracle", "--vocab", str(vocab_path)], 1)
+        vocab = TagVocabulary.load(vocab_path)
+        sources = [tokenize(line) for line in lines]
+        backend = CorpusOracleBackend(list(zip(sources, sources)), vocab, default_lexicon())
+        assert got == self.one_batch(lines, backend, vocab)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_peer_with_a_failing_line(self, workdir, capsys, parallelism):
+        tmp_path, _, vocab_path = workdir
+        lines = self.lines(poison_at=BATCH_SIZE + 5)
+        peer_cmd = f"{sys.executable} {PEER} {vocab_path} poison"
+        got = self.run_cli(tmp_path, capsys, lines, [
+            "--backend", "external", "--vocab", str(vocab_path), "--peer-cmd", peer_cmd,
+        ], parallelism)
+        vocab = TagVocabulary.load(vocab_path)
+        client = ExternalTaggerClient.from_command(
+            [sys.executable, str(PEER), str(vocab_path), "poison"], vocab
+        )
+        try:
+            want = self.one_batch(lines, client, vocab)
+        finally:
+            client.close()
+        assert got == want
+        assert got[0] == 3
+        assert got[3].startswith(f"line {BATCH_SIZE + 6}: InvariantViolation: ")
+
+    def test_peak_memory_does_not_grow_with_the_input(self, tmp_path):
+        # Dense rows of 1,000 tags (8 KB per token) outweigh the tokens, so a
+        # peak that grows with the line count shows predictions held across chunks.
+        n_tags, dim = 1000, 64
+        vocab = TagVocabulary.from_counts({f"$APPEND_w{i}": 1 for i in range(n_tags - 2)}, n_tags)
+        vocab_path, model_path = tmp_path / "tags.vocab", tmp_path / "m.model"
+        vocab.save(vocab_path)
+        model = StatTaggerModel(n_classes=n_tags, hash_seed=1, dim=dim)
+        model.cls_bias[0] = 1.0  # KEEP, except where a feature hashes to bucket 3:
+        model.cls_weights[3, 1] = 5.0  # DELETE there; sentences take 1 to 5 passes
+        model.save(model_path)
+
+        def peak(n_lines):
+            inputs = tmp_path / f"in{n_lines}.txt"
+            inputs.write_text("".join(f"w{i % 50} w{i % 7} x y z\n" for i in range(n_lines)))
+            tracemalloc.start()
+            try:
+                code = main(["simplify", str(inputs), str(tmp_path / "out.txt"),
+                             "--backend", "stat", "--vocab", str(vocab_path),
+                             "--model", str(model_path)])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (code_n, peak_n), (code_4n, peak_4n) = peak(BATCH_SIZE), peak(4 * BATCH_SIZE)
+        assert code_n == code_4n == 0
+        assert peak_4n <= 1.5 * peak_n, (peak_n, peak_4n)
 
 
 class TestEvaluateCommand:

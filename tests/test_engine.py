@@ -1,3 +1,6 @@
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,42 @@ class TestSimplifyBatch:
         for parallelism in (1, 2, 4, 7):
             batch = simplify_batch(seqs, backend, example_vocab, cfg, parallelism)
             assert [item.output for item in batch] == sequential
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_no_prediction_outlives_its_pass(self, example_vocab, parallelism):
+        inner = GrowingBackend(example_vocab, word="are")  # every sentence runs every pass
+
+        class Watching:
+            """Fails a call while any array returned in an earlier pass is alive."""
+
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.calls = 0
+                self.returned = []  # (pass, weakref) of every array handed out
+                self.alive = []
+
+            def predict_batch(self, seqs):
+                with self.lock:
+                    this_pass = self.calls // parallelism  # one call per shard per pass
+                    self.calls += 1
+                    self.alive += [
+                        p for p, ref in self.returned if p < this_pass and ref() is not None
+                    ]
+                preds = inner.predict_batch(seqs)
+                with self.lock:
+                    self.returned += [
+                        (this_pass, weakref.ref(a)) for pred in preds
+                        for a in (pred.detect, pred.dist)
+                    ]
+                return preds
+
+        backend = Watching()
+        seqs = [tokenize(s) for s in ("a b c", "x", "a a a a", "b c")]
+        results = simplify_batch(seqs, backend, example_vocab,
+                                 InferenceConfig(max_iterations=4), parallelism)
+        assert all(len(item.trace.steps) == 4 for item in results)
+        assert backend.calls == 4 * parallelism
+        assert backend.alive == []
 
     def test_empty_batch(self, example_vocab):
         assert simplify_batch([], AllKeepBackend(example_vocab), example_vocab,

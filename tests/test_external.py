@@ -214,6 +214,56 @@ class TestFailedHandshakeClosesTransport:
         assert not transport.closed
 
 
+class TestBoundedErrorMessages:
+    """Errors quote at most a bounded part of a peer's message, however long."""
+
+    BIG = "w" * 1_000_000
+
+    def _reply(self, vocab):
+        row = [1.0] + [0.0] * (len(vocab) - 1)
+        prediction = {"detect": [0.0] * 2, "dist": [row] * 2}
+        reply = json.dumps({"id": 0, "predictions": [prediction] * 20_000})
+        assert len(reply) > 1_000_000
+        return reply
+
+    def _error(self, vocab, replies, hello=None):
+        with pytest.raises(ProtocolError) as info:
+            client = ExternalTaggerClient(_ScriptedTransport(vocab, replies, hello), vocab)
+            client.predict_batch([tokenize("a")])
+        return str(info.value)
+
+    def test_truncated_reply(self, vocab_file):
+        vocab, _ = vocab_file
+        message = self._error(vocab, [self._reply(vocab)[:-5]])
+        assert message.startswith("peer sent invalid JSON: '{\"id\": 0, ")
+        assert len(message) < 1024
+
+    @pytest.mark.parametrize("reply, start", [
+        (json.dumps([BIG]), "peer message is not an object"),
+        (json.dumps({"id": BIG}), "response id"),
+        (json.dumps({"id": 0, "predictions": {"x": BIG}}), "expected 1 predictions"),
+        (json.dumps({"id": 0, "predictions": [[BIG] * 100]}), "prediction must have"),
+    ], ids=["not an object", "id", "count", "prediction"])
+    def test_malformed_reply(self, vocab_file, reply, start):
+        vocab, _ = vocab_file
+        message = self._error(vocab, [reply])
+        assert message.startswith(start) and len(message) < 1024
+
+    @pytest.mark.parametrize("hello", [{"hello": BIG}, {"greeting": [BIG] * 100}],
+                             ids=["hello not an object", "no hello"])
+    def test_malformed_hello(self, vocab_file, hello):
+        vocab, _ = vocab_file
+        message = self._error(vocab, [], hello=json.dumps(hello))
+        assert message.startswith("expected hello handshake") and len(message) < 1024
+
+    def test_many_predictions_are_summarized(self, vocab_file):
+        vocab, _ = vocab_file
+        reply = json.loads(self._reply(vocab))
+        reply["predictions"] = [reply["predictions"]]  # one entry: a list of predictions
+        message = self._error(vocab, [json.dumps(reply)])
+        assert message.startswith("prediction must have") and len(message) < 1024
+
+
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_constant_is_a_protocol_error(self, vocab_file, constant):

@@ -39,7 +39,7 @@ from tagsimp.core import (
     tokenize,
 )
 from tagsimp.errors import MalformedTag, ProtocolError
-from tagsimp.external import ExternalTaggerClient
+from tagsimp.external import ExternalTaggerClient, _quote
 from tagsimp.stat_tagger import StatTaggerModel, _hash_feature, stat_train
 from tagsimp.tagger import TagPrediction
 
@@ -207,23 +207,26 @@ def _reject_constant(name):
 
 
 def reference_decode_reply(line: str, lengths: list[int], vocab_size: int) -> list[TagPrediction]:
-    """The whole reply through ``json.loads``, then list checks and ``np.asarray``."""
+    """The whole reply through ``json.loads``, then list checks and ``np.asarray``.
+
+    Errors quote the peer's input through the package's bounded ``_quote``, so
+    the messages of the two decoders compare equal."""
     try:
         msg = json.loads(line, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
-        raise ProtocolError(f"peer sent invalid JSON: {line!r}") from exc
+        raise ProtocolError(f"peer sent invalid JSON: {_quote(line)}") from exc
     if not isinstance(msg, dict):
-        raise ProtocolError(f"peer message is not an object: {msg!r}")
+        raise ProtocolError(f"peer message is not an object: {_quote(msg)}")
     if msg.get("id") != 0:
-        raise ProtocolError(f"response id {msg.get('id')!r} does not echo 0")
+        raise ProtocolError(f"response id {_quote(msg.get('id'))} does not echo 0")
     preds = msg.get("predictions")
     if not isinstance(preds, list) or len(preds) != len(lengths):
         got = len(preds) if isinstance(preds, list) else preds
-        raise ProtocolError(f"expected {len(lengths)} predictions, got {got!r}")
+        raise ProtocolError(f"expected {len(lengths)} predictions, got {_quote(got)}")
     out = []
     for n_tokens, raw in zip(lengths, preds):
         if not isinstance(raw, dict) or "detect" not in raw or "dist" not in raw:
-            raise ProtocolError(f"prediction must have detect and dist: {raw!r}")
+            raise ProtocolError(f"prediction must have detect and dist: {_quote(raw)}")
         detect, dist = raw["detect"], raw["dist"]
         if not isinstance(detect, list) or len(detect) != n_tokens:
             raise ProtocolError(f"detect must have {n_tokens} entries")

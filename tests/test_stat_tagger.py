@@ -6,6 +6,7 @@ import pytest
 from conftest import vocab_for
 from tagsimp.core import tokenize
 from tagsimp.errors import EmptyCorpus
+from tagsimp import stat_tagger
 from tagsimp.stat_tagger import StatTaggerModel, sentence_features, stat_train
 
 DIM = 2 ** 12  # small hash space keeps these tests quick
@@ -109,3 +110,39 @@ class TestModelFile:
         path.write_bytes(b"not a model\n")
         with pytest.raises(ValueError):
             StatTaggerModel.load(path)
+
+
+class TestHashCache:
+    CAP = 60
+
+    def model(self):
+        rng = np.random.default_rng(4)
+        model = StatTaggerModel(n_classes=7, hash_seed=3, dim=64)
+        model.cls_weights = rng.normal(size=(64, 7))
+        model.det_weights = rng.normal(size=64)
+        return model
+
+    def sentences(self):
+        words = [f"w{i}" for i in range(40)]
+        seqs = [tokenize(" ".join(words[i : i + 3])) for i in range(0, 36, 2)]
+        seqs.insert(9, tokenize(" ".join(words)))  # more distinct features than the cap
+        return seqs
+
+    def test_size_never_exceeds_the_cap(self, monkeypatch):
+        monkeypatch.setattr(stat_tagger, "HASH_CACHE_SIZE", self.CAP)
+        model = self.model()
+        sizes = []
+        for seq in self.sentences():
+            model.predict_batch([seq])
+            sizes.append(len(model._hash_cache))
+        assert max(sizes) <= self.CAP
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was cleared
+
+    def test_predictions_are_bitwise_equal_across_a_clear(self, monkeypatch):
+        unbounded = [self.model().predict_batch([seq])[0] for seq in self.sentences()]
+        monkeypatch.setattr(stat_tagger, "HASH_CACHE_SIZE", self.CAP)
+        model = self.model()
+        for seq, ref in zip(self.sentences(), unbounded):
+            pred = model.predict_batch([seq])[0]
+            assert pred.detect.tobytes() == ref.detect.tobytes()
+            assert pred.dist.tobytes() == ref.dist.tobytes()
