@@ -13,12 +13,15 @@ import dataclasses
 import json
 import shlex
 import sys
+from contextlib import ExitStack
+from itertools import islice
+from typing import Iterator
 
 from .align import PairReader, build_vocab, filter_brackets
 from .apply import VerbLexicon, default_lexicon
 from .bench import bench as run_bench
 from .core import TagVocabulary, detokenize, tokenize
-from .engine import InferenceConfig, simplify, simplify_batch
+from .engine import InferenceConfig, simplify_batch
 from .errors import (
     InvariantViolation,
     PeerUnavailable,
@@ -37,7 +40,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
 
-# Lines per simplify_batch call in `simplify`, and the `bench --batch-size` default.
+# Lines read, simplified and written at a time by `simplify`, and the
+# `bench --batch-size` default.
 BATCH_SIZE = 128
 
 
@@ -46,10 +50,15 @@ def _read_lines(path) -> list[str]:
         return [line.rstrip("\n") for line in fh]
 
 
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _chunks(fh) -> Iterator[list[str]]:
+    """The file's lines without their newlines, BATCH_SIZE lines at a time."""
+    while lines := [line.rstrip("\n") for line in islice(fh, BATCH_SIZE)]:
+        yield lines
+
+
+def _count_lines(path) -> int:
+    with open(path, "r", encoding="utf-8") as fh:
+        return sum(1 for _ in fh)
 
 
 def _load_lexicon(args) -> VerbLexicon:
@@ -188,55 +197,49 @@ def cmd_simplify(args) -> int:
     vocab = TagVocabulary.load(args.vocab)
     lexicon = _load_lexicon(args)
     cfg = _load_config(args)
-    sources = [tokenize(line) for line in _read_lines(args.input)]
-
-    trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    if args.parallelism < 1:  # checked here too, since an empty input makes no call
+        raise ValueError("parallelism must be >= 1")
+    # The oracle with references tags each sentence toward its own reference,
+    # so it iterates all the way to it; every other backend takes a chunk per call.
+    per_line_oracle = args.backend == "oracle" and args.references
     failures = 0
-    outputs = []
-    try:
-        if args.backend == "oracle" and args.references:
-            # Per-sentence oracle: iterates all the way to each reference.
-            targets = [tokenize(line) for line in _read_lines(args.references)]
-            if len(targets) != len(sources):
-                raise ValueError(
-                    f"{len(sources)} input sentences but {len(targets)} references"
-                )
-            for src, tgt in zip(sources, targets):
-                backend = OracleBackend(tgt, vocab, lexicon)
-                out, trace = simplify(src, backend, vocab, cfg, lexicon)
-                outputs.append(detokenize(out))
-                if trace_fh:
-                    trace_fh.write(json.dumps(trace.to_dict()) + "\n")
-        else:
-            backend = _make_batch_backend(args, vocab, sources, lexicon)
-            try:
-                if args.parallelism < 1:  # checked here too, since an empty input makes no call
-                    raise ValueError("parallelism must be >= 1")
-                # Fixed-size chunks bound the predictions alive at once; a
-                # sentence's result does not depend on the others in its batch.
-                for start in range(0, len(sources), BATCH_SIZE):
-                    chunk = sources[start : start + BATCH_SIZE]
-                    results = simplify_batch(
-                        chunk, backend, vocab, cfg,
-                        parallelism=args.parallelism, lexicon=lexicon,
-                    )
-                    for lineno, (src, item) in enumerate(zip(chunk, results), start + 1):
-                        if item.ok:
-                            outputs.append(detokenize(item.output))
-                            if trace_fh:
-                                trace_fh.write(json.dumps(item.trace.to_dict()) + "\n")
-                        else:
-                            failures += 1
-                            outputs.append(detokenize(src))  # degrade to the input line
-                            print(f"line {lineno}: {item.error}", file=sys.stderr)
-                            if trace_fh:
-                                trace_fh.write(json.dumps({"error": item.error}) + "\n")
-            finally:
-                _close_backend(backend)
-    finally:
-        if trace_fh:
-            trace_fh.close()
-    _write_lines(args.output, outputs)
+    with ExitStack() as stack:
+        chunks = _chunks(stack.enter_context(open(args.input, "r", encoding="utf-8")))
+        if per_line_oracle:
+            n_sources, n_targets = _count_lines(args.input), _count_lines(args.references)
+            if n_sources != n_targets:
+                raise ValueError(f"{n_sources} input sentences but {n_targets} references")
+            targets = _chunks(stack.enter_context(open(args.references, "r", encoding="utf-8")))
+        else:  # no sources: the identity oracle answers a sentence it lacks as itself
+            backend = _make_batch_backend(args, vocab, (), lexicon)
+            stack.callback(_close_backend, backend)
+        out_fh = stack.enter_context(open(args.output, "w", encoding="utf-8"))
+        trace_fh = args.trace and stack.enter_context(open(args.trace, "w", encoding="utf-8"))
+        # Fixed-size chunks bound the memory of a run; a sentence's result
+        # does not depend on the others in its batch.
+        lineno = 0
+        for lines in chunks:
+            sources = [tokenize(line) for line in lines]
+            if per_line_oracle:
+                results = [
+                    simplify_batch([src], OracleBackend(tokenize(tgt), vocab, lexicon),
+                                   vocab, cfg, lexicon=lexicon)[0]
+                    for src, tgt in zip(sources, next(targets))
+                ]
+            else:
+                results = simplify_batch(sources, backend, vocab, cfg, args.parallelism, lexicon)
+            for src, item in zip(sources, results):
+                lineno += 1
+                if item.ok:
+                    out_fh.write(detokenize(item.output) + "\n")
+                    if trace_fh:
+                        trace_fh.write(json.dumps(item.trace.to_dict()) + "\n")
+                else:
+                    failures += 1
+                    out_fh.write(detokenize(src) + "\n")  # degrade to the input line
+                    print(f"line {lineno}: {item.error}", file=sys.stderr)
+                    if trace_fh:
+                        trace_fh.write(json.dumps({"error": item.error}) + "\n")
     if failures:
         print(f"{failures} lines failed; their inputs were passed through", file=sys.stderr)
         return EXIT_BACKEND
@@ -351,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_args(p)
     _add_config_args(p)
     p.add_argument("--trace", help="write per-sentence traces as JSON lines")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=int, default=1,
+                   help="at least 1; outputs and backend calls do not depend on it")
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("evaluate", help="score source<TAB>system<TAB>refs records")
@@ -374,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--batch-size", type=int, default=BATCH_SIZE)
     p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=int, default=1,
+                   help="at least 1; outputs and backend calls do not depend on it")
     p.add_argument("--tsv-out")
     p.set_defaults(func=cmd_bench)
 

@@ -10,7 +10,7 @@ unchanged; none of these early exits can change the final output.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,6 +37,10 @@ class InferenceConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.max_iterations <= 5:
             raise ValueError("max_iterations must be in 1..5")
+        # A NaN keep bias makes every argmax KEEP, and a NaN gate never fires.
+        for name in ("keep_bias", "delete_bias", "min_edit_prob"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @classmethod
     def zero_tweaks(cls) -> "InferenceConfig":
@@ -128,67 +132,44 @@ class SimplifyTrace:
         }
 
 
-def _all_keep(tags: TagSeq) -> bool:
-    return all(tag.kind is EditKind.KEEP for tag in tags)
-
-
-def simplify(
-    seq: TokenSeq,
-    backend: TaggerBackend,
-    vocab: TagVocabulary,
-    cfg: InferenceConfig,
-    lexicon: VerbLexicon | None = None,
-) -> tuple[TokenSeq, SimplifyTrace]:
-    """Tag-and-edit one sentence for up to ``cfg.max_iterations`` passes."""
-    trace = SimplifyTrace()
-    for _ in range(cfg.max_iterations):
-        pred = backend.predict_batch([seq])[0]
-        tags, gated = decode_step(pred, vocab, cfg)
-        out = seq if gated else apply_tags(seq, tags, lexicon)
-        trace.steps.append(TraceStep(input=seq, tags=tags, gated=gated, output=out))
-        if gated or _all_keep(tags) or out == seq:
-            return out, trace
-        seq = out
-    return seq, trace
-
-
 @dataclass
 class BatchItem:
-    """Result for one sentence of a batch: an output or an error."""
+    """Result for one sentence of a batch: an output or the exception that stopped it."""
 
     output: TokenSeq | None = None
     trace: SimplifyTrace | None = None
-    error: str | None = None
+    exception: Exception | None = None
+
+    @property
+    def error(self) -> str | None:
+        exc = self.exception
+        return None if exc is None else f"{type(exc).__name__}: {exc}"
 
     @property
     def ok(self) -> bool:
-        return self.error is None
+        return self.exception is None
 
 
 def _predict_resilient(
     backend: TaggerBackend, seqs: list[TokenSeq]
 ) -> list[TagPrediction | Exception]:
-    """Batch predict; on failure retry per sentence so errors attach per line."""
+    """Batch predict; a failed call is retried per sentence, so errors attach per line.
+
+    A call fails when it raises or returns the wrong number of predictions; a
+    failed one-sentence call is its sentence's error and is not retried.
+    """
     try:
-        return list(backend.predict_batch(seqs))
-    except Exception:
-        out: list[TagPrediction | Exception] = []
-        for seq in seqs:
-            try:
-                out.append(backend.predict_batch([seq])[0])
-            except Exception as exc:
-                out.append(exc)
-        return out
-
-
-def _chunked(items: list, n_chunks: int) -> list[list]:
-    size, extra = divmod(len(items), n_chunks)
-    chunks, start = [], 0
-    for k in range(n_chunks):
-        end = start + size + (1 if k < extra else 0)
-        chunks.append(items[start:end])
-        start = end
-    return [c for c in chunks if c]
+        preds = list(backend.predict_batch(seqs))
+        if len(preds) != len(seqs):
+            raise ShapeMismatch(
+                f"backend returned {len(preds)} predictions for a batch of {len(seqs)}"
+            )
+        return preds
+    except Exception as exc:
+        if len(seqs) == 1:
+            return [exc]
+    # Retried outside the handler, so no sentence's error chains the batch's.
+    return [p for seq in seqs for p in _predict_resilient(backend, [seq])]
 
 
 def simplify_batch(
@@ -199,12 +180,14 @@ def simplify_batch(
     parallelism: int = 1,
     lexicon: VerbLexicon | None = None,
 ) -> list[BatchItem]:
-    """Simplify a batch in lockstep iterations; output order is input order.
+    """Simplify a batch in lockstep passes; output order is input order.
 
-    Results are identical to running :func:`simplify` per sentence for any
-    parallelism level; per-sentence backend failures are recorded instead
-    of aborting the batch.  Each prediction is dropped once decoded, so at
-    most one pass of predictions is alive at a time.
+    Each pass is one backend call over the sentences still active, unless it
+    fails.  A sentence's result does not depend on the rest of its batch,
+    and its failure is recorded instead of aborting the batch.  Each prediction is
+    dropped once decoded, so at most one pass of predictions is alive at a
+    time.  ``parallelism`` must be at least 1 and splits nothing: in-process
+    backends hold the GIL, and an external client serializes its requests.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -216,30 +199,23 @@ def simplify_batch(
     for _ in range(cfg.max_iterations):
         if not active:
             break
-        batch = [states[i] for i in active]
-        if parallelism == 1 or len(batch) == 1:
-            preds = _predict_resilient(backend, batch)
-        else:
-            chunks = _chunked(batch, parallelism)
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                parts = pool.map(lambda c: _predict_resilient(backend, c), chunks)
-                preds = [p for part in parts for p in part]
+        preds = _predict_resilient(backend, [states[i] for i in active])
         still_active = []
-        for k, idx in zip(range(len(preds)), active):
+        for k, idx in enumerate(active):
             pred, preds[k] = preds[k], None  # free its rows once this loop moves on
             if isinstance(pred, Exception):
-                results[idx].error = f"{type(pred).__name__}: {pred}"
+                results[idx].exception = pred
                 continue
             try:
                 tags, gated = decode_step(pred, vocab, cfg)
                 out = states[idx] if gated else apply_tags(states[idx], tags, lexicon)
             except Exception as exc:
-                results[idx].error = f"{type(exc).__name__}: {exc}"
+                results[idx].exception = exc
                 continue
             traces[idx].steps.append(
                 TraceStep(input=states[idx], tags=tags, gated=gated, output=out)
             )
-            finished = gated or _all_keep(tags) or out == states[idx]
+            finished = gated or all(t.kind is EditKind.KEEP for t in tags) or out == states[idx]
             states[idx] = out
             if not finished:
                 still_active.append(idx)
@@ -247,7 +223,21 @@ def simplify_batch(
         active = still_active
 
     for i, item in enumerate(results):
-        if item.error is None:
+        if item.ok:
             item.output = states[i]
             item.trace = traces[i]
     return results
+
+
+def simplify(
+    seq: TokenSeq,
+    backend: TaggerBackend,
+    vocab: TagVocabulary,
+    cfg: InferenceConfig,
+    lexicon: VerbLexicon | None = None,
+) -> tuple[TokenSeq, SimplifyTrace]:
+    """Tag-and-edit one sentence; raises what :func:`simplify_batch` records for it."""
+    item = simplify_batch([seq], backend, vocab, cfg, lexicon=lexicon)[0]
+    if item.exception is not None:
+        raise item.exception
+    return item.output, item.trace

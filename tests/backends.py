@@ -92,6 +92,16 @@ class FailingBackend:
         return self.inner.predict_batch(seqs)
 
 
+class ShortListBackend:
+    """All-KEEP, but drops the last prediction of every call."""
+
+    def __init__(self, vocab):
+        self.inner = AllKeepBackend(vocab)
+
+    def predict_batch(self, seqs):
+        return self.inner.predict_batch(seqs)[:-1]
+
+
 def tag_accuracy(pred, gold_tags, vocab):
     """Fraction of positions whose unbiased argmax equals the gold tag."""
     ids = np.argmax(pred.dist, axis=1)

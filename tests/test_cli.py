@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 import tracemalloc
@@ -7,13 +8,14 @@ import pytest
 
 from tagsimp.align import build_vocab
 from tagsimp.apply import default_lexicon
+from tagsimp import cli
 from tagsimp.cli import BATCH_SIZE, main
-from tagsimp.core import TagVocabulary, detokenize, tokenize
+from tagsimp.core import TagVocabulary, TokenSeq, detokenize, tokenize
 from tagsimp.engine import InferenceConfig, simplify_batch
 from tagsimp.external import ExternalTaggerClient
 from tagsimp.metrics import EvalRecord, evaluate
 from tagsimp.stat_tagger import StatTaggerModel
-from tagsimp.tagger import CorpusOracleBackend
+from tagsimp.tagger import CorpusOracleBackend, OracleBackend
 
 PEER = Path(__file__).parent / "peer_main.py"
 
@@ -181,6 +183,21 @@ class TestChunkedSimplify:
         sources = [tokenize(line) for line in lines]
         results = simplify_batch(sources, backend, vocab, InferenceConfig.zero_tweaks(),
                                  lexicon=default_lexicon())
+        return self.written(sources, results)
+
+    def per_line_oracle(self, lines, refs, backend_class, vocab):
+        """What `simplify` wrote when it ran each line against its own reference."""
+        sources = [tokenize(line) for line in lines]
+        lexicon = default_lexicon()
+        results = [
+            simplify_batch([src], backend_class(tokenize(ref), vocab, lexicon), vocab,
+                           InferenceConfig.zero_tweaks(), lexicon=lexicon)[0]
+            for src, ref in zip(sources, refs)
+        ]
+        return self.written(sources, results)
+
+    def written(self, sources, results):
+        """(exit code, output, trace, stderr) for these results, in input order."""
         outputs, traces, errors = [], [], []
         for lineno, (src, item) in enumerate(zip(sources, results), 1):
             if item.ok:
@@ -220,6 +237,42 @@ class TestChunkedSimplify:
         sources = [tokenize(line) for line in lines]
         backend = CorpusOracleBackend(list(zip(sources, sources)), vocab, default_lexicon())
         assert got == self.one_batch(lines, backend, vocab)
+
+    def test_oracle_with_references(self, workdir, capsys):
+        tmp_path, _, vocab_path = workdir
+        lines = self.lines()
+        refs = [CORPUS[i % 3][1] for i in range(len(lines))]
+        (tmp_path / "refs.txt").write_text("".join(r + "\n" for r in refs), encoding="utf-8")
+        got = self.run_cli(tmp_path, capsys, lines, [
+            "--backend", "oracle", "--vocab", str(vocab_path),
+            "--references", str(tmp_path / "refs.txt"),
+        ], 1)
+        vocab = TagVocabulary.load(vocab_path)
+        assert got == self.per_line_oracle(lines, refs, OracleBackend, vocab)
+        assert got[:2] == (0, "".join(r + "\n" for r in refs))
+
+    def test_oracle_with_references_fails_per_line(self, workdir, capsys, monkeypatch):
+        tmp_path, _, vocab_path = workdir
+
+        class PoisonedOracle(OracleBackend):
+            def predict_batch(self, seqs):
+                if "poison" in self.target.words():
+                    raise RuntimeError("no gold tags for a poisoned reference")
+                return super().predict_batch(seqs)
+
+        monkeypatch.setattr(cli, "OracleBackend", PoisonedOracle)
+        lines = self.lines()
+        refs = [CORPUS[i % 3][1] for i in range(len(lines))]
+        refs[BATCH_SIZE + 5] = "a poison line"
+        (tmp_path / "refs.txt").write_text("".join(r + "\n" for r in refs), encoding="utf-8")
+        got = self.run_cli(tmp_path, capsys, lines, [
+            "--backend", "oracle", "--vocab", str(vocab_path),
+            "--references", str(tmp_path / "refs.txt"),
+        ], 1)
+        vocab = TagVocabulary.load(vocab_path)
+        assert got == self.per_line_oracle(lines, refs, PoisonedOracle, vocab)
+        assert got[0] == 3
+        assert got[3].startswith(f"line {BATCH_SIZE + 6}: RuntimeError: no gold tags")
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_peer_with_a_failing_line(self, workdir, capsys, parallelism):
@@ -268,6 +321,41 @@ class TestChunkedSimplify:
         (code_n, peak_n), (code_4n, peak_4n) = peak(BATCH_SIZE), peak(4 * BATCH_SIZE)
         assert code_n == code_4n == 0
         assert peak_4n <= 1.5 * peak_n, (peak_n, peak_4n)
+
+
+    @pytest.mark.parametrize("with_references", [False, True])
+    def test_sentences_alive_do_not_grow_with_the_input(self, workdir, monkeypatch,
+                                                        with_references):
+        # Counts live TokenSeq objects as lines are read: a run that holds its
+        # input, references or results beyond their chunk shows a growing count.
+        tmp_path, _, vocab_path = workdir
+        monkeypatch.setattr(cli, "BATCH_SIZE", 8)
+        n_lines = 64 * 8
+        inputs, refs = tmp_path / "in.txt", tmp_path / "refs.txt"
+        inputs.write_text("".join(f"{CORPUS[i % 3][0]} w{i % 8}\n" for i in range(n_lines)))
+        refs.write_text("".join(f"{CORPUS[i % 3][1]} w{i % 8}\n" for i in range(n_lines)))
+
+        def alive():
+            return sum(isinstance(o, TokenSeq) for o in gc.get_objects())
+
+        samples, calls = [], [0]
+
+        def sampling_tokenize(text):
+            if calls[0] % 64 == 0:
+                samples.append(alive())
+            calls[0] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(cli, "tokenize", sampling_tokenize)
+        args = ["simplify", str(inputs), str(tmp_path / "out.txt"),
+                "--trace", str(tmp_path / "trace.jsonl"),
+                "--backend", "oracle", "--vocab", str(vocab_path)]
+        if with_references:
+            args += ["--references", str(refs)]
+        before = alive()
+        assert main(args) == 0
+        assert calls[0] == n_lines * (2 if with_references else 1)
+        assert max(samples) - before <= 4 * 8, (before, samples)  # about two chunks
 
 
 class TestEvaluateCommand:
@@ -375,13 +463,37 @@ class TestExitCodes:
         refs = tmp_path / "refs.txt"
         inputs.write_text("a\nb\n", encoding="utf-8")
         refs.write_text("a\n", encoding="utf-8")
-        out = tmp_path / "out.txt"
+        out, trace = tmp_path / "out.txt", tmp_path / "trace.jsonl"
         code = main([
-            "simplify", str(inputs), str(out),
+            "simplify", str(inputs), str(out), "--trace", str(trace),
             "--backend", "oracle", "--vocab", str(vocab_path),
             "--references", str(refs),
         ])
         assert code == 2
+        assert not out.exists() and not trace.exists()
+
+    def test_non_finite_tweaks_are_data_errors(self, workdir, tmp_path, capsys):
+        _, _, vocab_path = workdir
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("a b\n", encoding="utf-8")
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text("keep_bias = 0.5\nmin_edit_prob = nan\n")
+        base = ["simplify", str(inputs), str(tmp_path / "out.txt"),
+                "--backend", "oracle", "--vocab", str(vocab_path)]
+        assert main(base + ["--keep-bias", "nan"]) == 2
+        assert "keep_bias must be finite" in capsys.readouterr().err
+        assert main(base + ["--delete-bias=-inf"]) == 2
+        assert "delete_bias must be finite" in capsys.readouterr().err
+        assert main(base + ["--config", str(cfg_path)]) == 2
+        assert "min_edit_prob must be finite" in capsys.readouterr().err
+        assert main(base + ["--config", str(cfg_path), "--min-edit-prob", "0.5"]) == 2
+
+    def test_parallelism_below_one_is_a_data_error_on_an_empty_input(self, workdir, tmp_path):
+        _, _, vocab_path = workdir
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("", encoding="utf-8")
+        assert main(["simplify", str(inputs), str(tmp_path / "out.txt"), "--parallelism", "0",
+                     "--backend", "oracle", "--vocab", str(vocab_path)]) == 2
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

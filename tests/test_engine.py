@@ -1,11 +1,11 @@
-import threading
 import weakref
 
 import numpy as np
 import pytest
 
-from backends import AllKeepBackend, FailingBackend, GrowingBackend
+from backends import AllKeepBackend, FailingBackend, GrowingBackend, ShortListBackend
 from conftest import vocab_for
+from test_reference_equivalence import reference_simplify
 from tagsimp.core import EditTag, KEEP_TAG, detokenize, serialize_tag, tokenize
 from tagsimp.engine import (
     InferenceConfig,
@@ -34,6 +34,14 @@ class TestInferenceConfig:
                               min_edit_prob=0.04, max_iterations=2)
         again = InferenceConfig.from_text(cfg.to_text())
         assert again == cfg
+
+    @pytest.mark.parametrize("name", ["keep_bias", "delete_bias", "min_edit_prob"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tweaks_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            InferenceConfig.from_text(f"{name} = {value}\n")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            InferenceConfig(**{name: float(value)})
 
     def test_from_text_with_comments_and_unknown_keys(self):
         cfg = InferenceConfig.from_text("# comment\nkeep_bias = 0.5\n\nmax_iterations=2\n")
@@ -153,7 +161,7 @@ class TestSimplifyBatch:
         backend = GrowingBackend(example_vocab, word="are")
         cfg = InferenceConfig(max_iterations=3)
         seqs = self.corpus()
-        sequential = [simplify(s, backend, example_vocab, cfg)[0] for s in seqs]
+        sequential = [reference_simplify(s, backend, example_vocab, cfg)[0] for s in seqs]
         for parallelism in (1, 2, 4, 7):
             batch = simplify_batch(seqs, backend, example_vocab, cfg, parallelism)
             assert [item.output for item in batch] == sequential
@@ -166,24 +174,21 @@ class TestSimplifyBatch:
             """Fails a call while any array returned in an earlier pass is alive."""
 
             def __init__(self):
-                self.lock = threading.Lock()
-                self.calls = 0
+                self.calls = 0  # one call per pass
                 self.returned = []  # (pass, weakref) of every array handed out
                 self.alive = []
 
             def predict_batch(self, seqs):
-                with self.lock:
-                    this_pass = self.calls // parallelism  # one call per shard per pass
-                    self.calls += 1
-                    self.alive += [
-                        p for p, ref in self.returned if p < this_pass and ref() is not None
-                    ]
+                this_pass = self.calls
+                self.calls += 1
+                self.alive += [
+                    p for p, ref in self.returned if p < this_pass and ref() is not None
+                ]
                 preds = inner.predict_batch(seqs)
-                with self.lock:
-                    self.returned += [
-                        (this_pass, weakref.ref(a)) for pred in preds
-                        for a in (pred.detect, pred.dist)
-                    ]
+                self.returned += [
+                    (this_pass, weakref.ref(a)) for pred in preds
+                    for a in (pred.detect, pred.dist)
+                ]
                 return preds
 
         backend = Watching()
@@ -191,12 +196,15 @@ class TestSimplifyBatch:
         results = simplify_batch(seqs, backend, example_vocab,
                                  InferenceConfig(max_iterations=4), parallelism)
         assert all(len(item.trace.steps) == 4 for item in results)
-        assert backend.calls == 4 * parallelism
+        assert backend.calls == 4
         assert backend.alive == []
 
     def test_empty_batch(self, example_vocab):
         assert simplify_batch([], AllKeepBackend(example_vocab), example_vocab,
                               InferenceConfig.zero_tweaks()) == []
+        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+            simplify_batch([], AllKeepBackend(example_vocab), example_vocab,
+                           InferenceConfig.zero_tweaks(), 0)
 
     def test_errors_reported_per_sentence(self, example_vocab):
         backend = FailingBackend(example_vocab)
@@ -205,6 +213,58 @@ class TestSimplifyBatch:
         assert results[0].ok and results[2].ok
         assert not results[1].ok and "poison" in results[1].error
         assert detokenize(results[0].output) == "a b"
+
+    def test_short_prediction_list_fails_every_sentence_of_the_call(self, example_vocab):
+        seqs = [tokenize("a b"), tokenize("c d"), tokenize("e")]
+        results = simplify_batch(seqs, ShortListBackend(example_vocab), example_vocab,
+                                 InferenceConfig.zero_tweaks())
+        assert [item.error for item in results] == [
+            "ShapeMismatch: backend returned 0 predictions for a batch of 1"
+        ] * 3
+        assert all(item.output is None and item.trace is None for item in results)
+
+    def test_failed_one_sentence_call_is_not_retried(self, example_vocab):
+        class AlwaysFailing:
+            calls = 0
+
+            def predict_batch(self, seqs):
+                self.calls += 1
+                raise RuntimeError("down")
+
+        backend = AlwaysFailing()
+        with pytest.raises(RuntimeError, match="down"):
+            simplify(tokenize("a b"), backend, example_vocab, InferenceConfig.zero_tweaks())
+        assert backend.calls == 1
+        results = simplify_batch([tokenize("a b")], backend, example_vocab,
+                                 InferenceConfig.zero_tweaks())
+        assert results[0].error == "RuntimeError: down"
+        assert backend.calls == 2
+        # A failed call of two sentences is retried once per sentence.
+        results = simplify_batch([tokenize("a"), tokenize("b")], backend, example_vocab,
+                                 InferenceConfig.zero_tweaks())
+        assert [item.error for item in results] == ["RuntimeError: down"] * 2
+        assert backend.calls == 2 + 3
+
+    def test_last_active_sentence_failing_is_called_once_per_pass(self, example_vocab):
+        keep, grow = AllKeepBackend(example_vocab), GrowingBackend(example_vocab, word="are")
+
+        class FailsWhenAlone:
+            """Keeps "x", grows other sentences, fails a one-sentence call of three words."""
+
+            calls = 0
+
+            def predict_batch(self, seqs):
+                self.calls += 1
+                if len(seqs) == 1 and len(seqs[0].words()) >= 3:
+                    raise RuntimeError("too long")
+                return [(keep if s.words() == ("x",) else grow).predict_batch([s])[0]
+                        for s in seqs]
+
+        backend = FailsWhenAlone()
+        results = simplify_batch([tokenize("x"), tokenize("a b")], backend, example_vocab,
+                                 InferenceConfig(max_iterations=5))
+        assert results[0].ok and results[1].error == "RuntimeError: too long"
+        assert backend.calls == 2  # pass 1 ends "x" and grows "a b"; pass 2 fails once
 
     def test_gate_monotonicity_in_edited_sentences(self, example_vocab):
         rng = np.random.default_rng(5)

@@ -5,7 +5,9 @@ training, stat prediction and the peer reply decoder all have a faster form
 in the package.  The slower forms are kept here as references; each test
 requires exactly equal results (bitwise for trained weights and predicted
 probabilities, the same exception and message for rejected replies),
-because the fast paths do the same arithmetic.
+because the fast paths do the same arithmetic.  The per-sentence inference
+loop is kept too, as the reference for the one batched loop that both
+``simplify`` and ``simplify_batch`` run.
 """
 
 import json
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from backends import AllKeepBackend, FailingBackend, GrowingBackend, ShortListBackend
 from conftest import vocab_for
 from test_external import _ScriptedTransport
 from tagsimp.align import AlignKind, AlignOp, align, extract_tags
@@ -24,6 +27,7 @@ from tagsimp.apply import (
     VerbLexicon,
     _pluralize,
     _singularize,
+    apply_tags,
     apply_transform,
     default_lexicon,
     recognize_substitution,
@@ -38,10 +42,18 @@ from tagsimp.core import (
     parse_tag,
     tokenize,
 )
-from tagsimp.errors import MalformedTag, ProtocolError
+from tagsimp.engine import (
+    InferenceConfig,
+    SimplifyTrace,
+    TraceStep,
+    decode_step,
+    simplify,
+    simplify_batch,
+)
+from tagsimp.errors import MalformedTag, ProtocolError, ShapeMismatch
 from tagsimp.external import ExternalTaggerClient, _quote
 from tagsimp.stat_tagger import StatTaggerModel, _hash_feature, stat_train
-from tagsimp.tagger import TagPrediction
+from tagsimp.tagger import OracleBackend, TagPrediction
 
 
 # ------------------------------------------------------------------ references
@@ -240,6 +252,22 @@ def reference_decode_reply(line: str, lengths: list[int], vocab_size: int) -> li
             dist=np.asarray(dist, dtype=np.float64),
         ))
     return out
+
+
+def reference_simplify(seq, backend, vocab, cfg, lexicon=None):
+    """One sentence, one backend call per pass, every exception raised as it comes."""
+    trace = SimplifyTrace()
+    for _ in range(cfg.max_iterations):
+        preds = backend.predict_batch([seq])
+        if len(preds) != 1:
+            raise ShapeMismatch(f"backend returned {len(preds)} predictions for a batch of 1")
+        tags, gated = decode_step(preds[0], vocab, cfg)
+        out = seq if gated else apply_tags(seq, tags, lexicon)
+        trace.steps.append(TraceStep(input=seq, tags=tags, gated=gated, output=out))
+        if gated or all(tag.kind is EditKind.KEEP for tag in tags) or out == seq:
+            return out, trace
+        seq = out
+    return seq, trace
 
 
 # ----------------------------------------------------------------------- tests
@@ -513,3 +541,36 @@ def test_cells_numpy_converts_are_accepted_as_by_reference(dist):
     ours, reference = _decode_outcomes(_reply_with(dist), [2], 3)
     assert isinstance(reference, list), reference
     assert ours == reference
+
+
+ENGINE_BACKENDS = {
+    "growing": (lambda v: GrowingBackend(v, word="are"), InferenceConfig(max_iterations=3)),
+    "all-keep": (AllKeepBackend, InferenceConfig.zero_tweaks()),
+    "oracle": (lambda v: OracleBackend(tokenize("b"), v), InferenceConfig.zero_tweaks()),
+    "gate": (lambda v: OracleBackend(tokenize("b"), v),
+             InferenceConfig(min_edit_prob=1.1, max_iterations=4)),
+    "failing": (FailingBackend, InferenceConfig.zero_tweaks()),
+    "short-list": (ShortListBackend, InferenceConfig.zero_tweaks()),
+}
+ENGINE_SENTENCES = ["a b c", "x", "", "a poison b", "a a a a", "b"]
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_BACKENDS))
+def test_simplify_and_batch_match_per_sentence_reference(name, example_vocab):
+    make, cfg = ENGINE_BACKENDS[name]
+    backend = make(example_vocab)
+    seqs = [tokenize(s) for s in ENGINE_SENTENCES]
+    reference = [_outcome(reference_simplify, seq, backend, example_vocab, cfg) for seq in seqs]
+    assert [_outcome(simplify, seq, backend, example_vocab, cfg) for seq in seqs] == reference
+    batch = [
+        (item.output, item.trace) if item.ok else (type(item.exception), str(item.exception))
+        for item in simplify_batch(seqs, backend, example_vocab, cfg)
+    ]
+    assert batch == reference
