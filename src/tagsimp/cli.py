@@ -13,7 +13,7 @@ import dataclasses
 import json
 import shlex
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, closing, contextmanager
 from itertools import islice
 from typing import Iterator
 
@@ -94,45 +94,45 @@ def _add_backend_args(sub) -> None:
     sub.add_argument("--backend", required=True, choices=["oracle", "stat", "external"])
     sub.add_argument("--vocab", required=True, help="tag vocabulary file")
     sub.add_argument("--model", help="stat model file (backend=stat)")
-    sub.add_argument("--references", help="reference sentences, one per line (backend=oracle)")
     sub.add_argument("--peer-cmd", help="peer command line (backend=external, stdio)")
     sub.add_argument("--peer-host", help="peer host (backend=external, TCP)")
     sub.add_argument("--peer-port", type=int, help="peer port (backend=external, TCP)")
     sub.add_argument("--lexicon", help="verb-form lexicon TSV (default: packaged)")
 
 
-def _make_batch_backend(args, vocab, sources, lexicon):
-    """Backend for whole-corpus commands; oracle pairs sources with references."""
-    if args.backend == "stat":
-        if not args.model:
-            raise _Usage("--model is required with --backend stat")
-        return StatTaggerModel.load(args.model)
-    if args.backend == "external":
-        if args.peer_cmd:
-            return ExternalTaggerClient.from_command(shlex.split(args.peer_cmd), vocab)
-        if args.peer_host and args.peer_port:
-            return ExternalTaggerClient.from_tcp(args.peer_host, args.peer_port, vocab)
-        raise _Usage("--peer-cmd or --peer-host/--peer-port required with --backend external")
-    # oracle: targets from --references, or the sources themselves (identity)
-    if args.references:
-        targets = [tokenize(line) for line in _read_lines(args.references)]
-        if len(targets) != len(sources):
-            raise ValueError(
-                f"{len(sources)} input sentences but {len(targets)} references"
-            )
-    else:
-        targets = list(sources)
-    return CorpusOracleBackend(list(zip(sources, targets)), vocab, lexicon)
-
-
 class _Usage(Exception):
     pass
 
 
-def _close_backend(backend) -> None:
-    close = getattr(backend, "close", None)
-    if close is not None:
-        close()
+@contextmanager
+def _backend(args, vocab, lexicon, pairs=()):
+    """The `--backend` of simplify, tune and bench, checked; closed on exit.
+
+    The oracle is a one-pass corpus oracle over the (source, target) `pairs`:
+    a sentence it was not given, such as a later pass's edit, is answered as itself.
+    """
+    if args.backend == "oracle":
+        yield CorpusOracleBackend(pairs, vocab, lexicon)
+    elif args.backend == "stat":
+        if not args.model:
+            raise _Usage("--model is required with --backend stat")
+        model = StatTaggerModel.load(args.model)
+        if not model.vocab_sha256:
+            print(f"warning: {args.model} records no tag vocabulary; assuming {args.vocab}",
+                  file=sys.stderr)
+        elif model.vocab_sha256 != vocab.sha256():
+            raise ValueError(f"{args.model} was trained on another tag vocabulary "
+                             f"than {args.vocab}")
+        yield model
+    else:
+        if args.peer_cmd:
+            client = ExternalTaggerClient.from_command(shlex.split(args.peer_cmd), vocab)
+        elif args.peer_host and args.peer_port:
+            client = ExternalTaggerClient.from_tcp(args.peer_host, args.peer_port, vocab)
+        else:
+            raise _Usage("--peer-cmd or --peer-host/--peer-port required with --backend external")
+        with closing(client):
+            yield client
 
 
 def cmd_preprocess(args) -> int:
@@ -211,8 +211,7 @@ def cmd_simplify(args) -> int:
                 raise ValueError(f"{n_sources} input sentences but {n_targets} references")
             targets = _chunks(stack.enter_context(open(args.references, "r", encoding="utf-8")))
         else:  # no sources: the identity oracle answers a sentence it lacks as itself
-            backend = _make_batch_backend(args, vocab, (), lexicon)
-            stack.callback(_close_backend, backend)
+            backend = stack.enter_context(_backend(args, vocab, lexicon))
         out_fh = stack.enter_context(open(args.output, "w", encoding="utf-8"))
         trace_fh = args.trace and stack.enter_context(open(args.trace, "w", encoding="utf-8"))
         # Fixed-size chunks bound the memory of a run; a sentence's result
@@ -267,17 +266,10 @@ def cmd_tune(args) -> int:
         if len(fields) < 2:
             raise ValueError(f"{args.dev}:{lineno}: need source and >=1 reference")
         dev.append((fields[0], tuple(fields[1:])))
-    sources = [tokenize(src) for src, _ in dev]
-    if args.backend == "oracle":
-        pairs = [(src, tokenize(refs[0])) for src, (_, refs) in zip(sources, dev)]
-        backend = CorpusOracleBackend(pairs, vocab, lexicon)
-    else:
-        backend = _make_batch_backend(args, vocab, sources, lexicon)
-    try:
+    pairs = ((tokenize(src), tokenize(refs[0])) for src, refs in dev)
+    with _backend(args, vocab, lexicon, pairs) as backend:
         result = tune(dev, backend, vocab, budget=args.budget, seed=args.seed,
                       lexicon=lexicon)
-    finally:
-        _close_backend(backend)
     with open(args.config_out, "w", encoding="utf-8") as fh:
         fh.write(result.config.to_text())
     if args.log_out:
@@ -297,8 +289,13 @@ def cmd_bench(args) -> int:
     lexicon = _load_lexicon(args)
     cfg = _load_config(args)
     sources = [tokenize(line) for line in _read_lines(args.corpus)]
-    backend = _make_batch_backend(args, vocab, sources, lexicon)
-    try:
+    pairs = ()
+    if args.backend == "oracle" and args.references:
+        targets = [tokenize(line) for line in _read_lines(args.references)]
+        if len(targets) != len(sources):
+            raise ValueError(f"{len(sources)} input sentences but {len(targets)} references")
+        pairs = zip(sources, targets)
+    with _backend(args, vocab, lexicon, pairs) as backend:
         report = run_bench(
             sources,
             backend,
@@ -309,8 +306,6 @@ def cmd_bench(args) -> int:
             parallelism=args.parallelism,
             lexicon=lexicon,
         )
-    finally:
-        _close_backend(backend)
     print(report.pretty())
     if args.tsv_out:
         with open(args.tsv_out, "w", encoding="utf-8") as fh:
@@ -352,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     _add_backend_args(p)
+    p.add_argument("--references", help="reference sentences, one per line (backend=oracle); "
+                   "each line is iterated to its own reference")
     _add_config_args(p)
     p.add_argument("--trace", help="write per-sentence traces as JSON lines")
     p.add_argument("--parallelism", type=int, default=1,
@@ -375,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time batched inference per iteration count")
     p.add_argument("corpus")
     _add_backend_args(p)
+    p.add_argument("--references", help="reference sentences, one per line (backend=oracle)")
     _add_config_args(p)
     p.add_argument("--batch-size", type=int, default=BATCH_SIZE)
     p.add_argument("--runs", type=int, default=3)

@@ -16,6 +16,7 @@ from tagsimp.external import ExternalTaggerClient
 from tagsimp.metrics import EvalRecord, evaluate
 from tagsimp.stat_tagger import StatTaggerModel
 from tagsimp.tagger import CorpusOracleBackend, OracleBackend
+from tagsimp.tune import tune, tune_log_tsv
 
 PEER = Path(__file__).parent / "peer_main.py"
 
@@ -24,6 +25,9 @@ CORPUS = [
     ("he quickly wrote a very long letter .", "he wrote a letter ."),
     ("a b c", "a b c"),
 ]
+
+
+DEV = "the small cat sat quietly .\tthe cat sat .\ndogs bark .\tdogs bark .\n"
 
 
 @pytest.fixture()
@@ -35,6 +39,14 @@ def workdir(tmp_path):
     vocab_path = tmp_path / "tags.vocab"
     main(["build-vocab", str(corpus), str(vocab_path), "--capacity", "100"])
     return tmp_path, corpus, vocab_path
+
+
+def train_stat(tmp_path, corpus, vocab_path):
+    model_path = tmp_path / "m.model"
+    assert main(["--seed", "3", "train-stat", str(corpus), str(model_path),
+                 "--vocab", str(vocab_path), "--epochs", "4", "--lr", "0.5",
+                 "--hash-dim", "4096"]) == 0
+    return model_path
 
 
 class TestPreprocess:
@@ -398,6 +410,31 @@ class TestTuneCommand:
         assert log_lines[0].startswith("sample_id")
         assert len(log_lines) > 4  # budget samples + refinement
 
+    def test_stat_backend_matches_library(self, workdir, tmp_path):
+        _, corpus, vocab_path = workdir
+        model_path = train_stat(tmp_path, corpus, vocab_path)
+        dev = tmp_path / "dev.tsv"
+        dev.write_text(DEV, encoding="utf-8")
+        cfg_out, log_out = tmp_path / "tuned.cfg", tmp_path / "log.tsv"
+        assert main([
+            "--seed", "2", "tune", str(dev),
+            "--backend", "stat", "--vocab", str(vocab_path), "--model", str(model_path),
+            "--budget", "4", "--config-out", str(cfg_out), "--log-out", str(log_out),
+        ]) == 0
+        pairs = [line.split("\t") for line in DEV.splitlines()]
+        want = tune([(src, (ref,)) for src, ref in pairs], StatTaggerModel.load(model_path),
+                    TagVocabulary.load(vocab_path), budget=4, seed=2, lexicon=default_lexicon())
+        assert cfg_out.read_text(encoding="utf-8") == want.config.to_text()
+        assert log_out.read_text(encoding="utf-8") == tune_log_tsv(want)
+
+    def test_references_is_a_usage_error(self, workdir, tmp_path):
+        _, _, vocab_path = workdir
+        dev, cfg_out = tmp_path / "dev.tsv", tmp_path / "tuned.cfg"
+        dev.write_text(DEV, encoding="utf-8")
+        assert main(["tune", str(dev), "--backend", "oracle", "--vocab", str(vocab_path),
+                     "--references", str(dev), "--config-out", str(cfg_out)]) == 1
+        assert not cfg_out.exists()
+
 
 class TestBenchCommand:
     def test_report_shape(self, workdir, tmp_path, capsys):
@@ -416,6 +453,88 @@ class TestBenchCommand:
         assert len(lines) == 3  # header + iteration rows 1, 2
         run_means = lines[1].split("\t")[4].split(",")
         assert len(run_means) == 2
+
+    def test_oracle_with_one_reference_too_few(self, workdir, tmp_path, capsys):
+        _, _, vocab_path = workdir
+        sentences, refs = tmp_path / "bench.txt", tmp_path / "refs.txt"
+        sentences.write_text("a b c\nd e\n", encoding="utf-8")
+        refs.write_text("a b\n", encoding="utf-8")
+        tsv_out = tmp_path / "bench.tsv"
+        assert main(["bench", str(sentences), "--backend", "oracle", "--vocab", str(vocab_path),
+                     "--references", str(refs), "--tsv-out", str(tsv_out)]) == 2
+        assert "2 input sentences but 1 references" in capsys.readouterr().err
+        assert not tsv_out.exists()
+
+
+@pytest.mark.parametrize("command", ["tune", "bench"])
+def test_peer_backend_is_closed(workdir, tmp_path, command):
+    # A peer process or pipe left open fails the test through the
+    # ResourceWarning filter in pyproject.toml.
+    _, _, vocab_path = workdir
+    dev, out = tmp_path / "dev.tsv", tmp_path / "out"
+    dev.write_text(DEV, encoding="utf-8")
+    args = {
+        "tune": ["tune", str(dev), "--budget", "2", "--config-out", str(out)],
+        "bench": ["bench", str(dev), "--runs", "1", "--max-iterations", "1",
+                  "--tsv-out", str(out)],
+    }[command]
+    assert main(args + ["--backend", "external", "--vocab", str(vocab_path),
+                        "--peer-cmd", f"{sys.executable} {PEER} {vocab_path} ok"]) == 0
+    assert out.exists()
+
+
+class TestModelVocabulary:
+    """A stat model runs only with the tag vocabulary it was trained on."""
+
+    PAIRS = [
+        ("she strolls home .", "she walks home ."),
+        ("he utilized it .", "he used it ."),
+        ("they purchased bread .", "they bought bread ."),
+    ]
+
+    @pytest.mark.parametrize("command", ["simplify", "tune", "bench"])
+    def test_another_vocabulary_is_a_data_error(self, tmp_path, capsys, command):
+        corpus, vocab_path = tmp_path / "corpus.tsv", tmp_path / "tags.vocab"
+        corpus.write_text("".join(f"{s}\t{t}\n" for s, t in self.PAIRS), encoding="utf-8")
+        assert main(["build-vocab", str(corpus), str(vocab_path)]) == 0
+        model_path = train_stat(tmp_path, corpus, vocab_path)
+        # The same tags with ids 2 and up reversed: the model's class ids
+        # still fit, so nothing but the recorded hash tells them apart.
+        tags = TagVocabulary.load(vocab_path).tags
+        other_path = tmp_path / "other.vocab"
+        TagVocabulary([*tags[:2], *reversed(tags[2:])]).save(other_path)
+        assert other_path.read_bytes() != vocab_path.read_bytes()
+
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("".join(s + "\n" for s, _ in self.PAIRS), encoding="utf-8")
+        out, trace, log = tmp_path / "out", tmp_path / "trace.jsonl", tmp_path / "log.tsv"
+        args, written = {
+            "simplify": (["simplify", str(inputs), str(out), "--trace", str(trace)],
+                         [out, trace]),
+            "tune": (["tune", str(corpus), "--budget", "2", "--config-out", str(out),
+                      "--log-out", str(log)], [out, log]),
+            "bench": (["bench", str(inputs), "--runs", "1", "--tsv-out", str(out)], [out]),
+        }[command]
+        capsys.readouterr()
+        assert main(args + ["--backend", "stat", "--vocab", str(other_path),
+                            "--model", str(model_path)]) == 2
+        assert "trained on another tag vocabulary" in capsys.readouterr().err
+        assert not any(path.exists() for path in written)
+
+    def test_a_model_without_a_vocabulary_hash_runs_with_a_warning(self, workdir, capsys):
+        tmp_path, _, vocab_path = workdir
+        model_path = tmp_path / "m.model"
+        StatTaggerModel(n_classes=len(TagVocabulary.load(vocab_path)), hash_seed=1,
+                        dim=64).save(model_path)
+        inputs, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inputs.write_text("a b c\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["simplify", str(inputs), str(out), "--backend", "stat",
+                     "--vocab", str(vocab_path), "--model", str(model_path)]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {model_path} records no tag vocabulary; assuming {vocab_path}\n"
+        )
+        assert out.read_text(encoding="utf-8") == "a b c\n"  # an all-zero model keeps
 
 
 class TestExitCodes:
