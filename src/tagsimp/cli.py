@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import shlex
 import sys
 from contextlib import ExitStack, closing, contextmanager
@@ -62,7 +63,7 @@ def _count_lines(path) -> int:
 
 
 def _load_lexicon(args) -> VerbLexicon:
-    if getattr(args, "lexicon", None):
+    if args.lexicon:
         return VerbLexicon.from_path(args.lexicon)
     return default_lexicon()
 
@@ -94,14 +95,11 @@ def _add_backend_args(sub) -> None:
     sub.add_argument("--backend", required=True, choices=["oracle", "stat", "external"])
     sub.add_argument("--vocab", required=True, help="tag vocabulary file")
     sub.add_argument("--model", help="stat model file (backend=stat)")
-    sub.add_argument("--peer-cmd", help="peer command line (backend=external, stdio)")
+    sub.add_argument("--peer-cmd", type=shlex.split,
+                     help="peer command line, split like a shell's (backend=external, stdio)")
     sub.add_argument("--peer-host", help="peer host (backend=external, TCP)")
     sub.add_argument("--peer-port", type=int, help="peer port (backend=external, TCP)")
     sub.add_argument("--lexicon", help="verb-form lexicon TSV (default: packaged)")
-
-
-class _Usage(Exception):
-    pass
 
 
 @contextmanager
@@ -114,8 +112,6 @@ def _backend(args, vocab, lexicon, pairs=()):
     if args.backend == "oracle":
         yield CorpusOracleBackend(pairs, vocab, lexicon)
     elif args.backend == "stat":
-        if not args.model:
-            raise _Usage("--model is required with --backend stat")
         model = StatTaggerModel.load(args.model)
         if not model.vocab_sha256:
             print(f"warning: {args.model} records no tag vocabulary; assuming {args.vocab}",
@@ -126,11 +122,9 @@ def _backend(args, vocab, lexicon, pairs=()):
         yield model
     else:
         if args.peer_cmd:
-            client = ExternalTaggerClient.from_command(shlex.split(args.peer_cmd), vocab)
-        elif args.peer_host and args.peer_port:
-            client = ExternalTaggerClient.from_tcp(args.peer_host, args.peer_port, vocab)
+            client = ExternalTaggerClient.from_command(args.peer_cmd, vocab)
         else:
-            raise _Usage("--peer-cmd or --peer-host/--peer-port required with --backend external")
+            client = ExternalTaggerClient.from_tcp(args.peer_host, args.peer_port, vocab)
         with closing(client):
             yield client
 
@@ -172,6 +166,10 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_train_stat(args) -> int:
+    if args.hash_dim < 1 or args.epochs < 1:
+        raise ValueError("--hash-dim and --epochs must be >= 1")
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise ValueError("--lr must be finite and > 0")
     vocab = TagVocabulary.load(args.vocab)
     lexicon = _load_lexicon(args)
     reader = PairReader(args.corpus)
@@ -201,11 +199,10 @@ def cmd_simplify(args) -> int:
         raise ValueError("parallelism must be >= 1")
     # The oracle with references tags each sentence toward its own reference,
     # so it iterates all the way to it; every other backend takes a chunk per call.
-    per_line_oracle = args.backend == "oracle" and args.references
     failures = 0
     with ExitStack() as stack:
         chunks = _chunks(stack.enter_context(open(args.input, "r", encoding="utf-8")))
-        if per_line_oracle:
+        if args.references:
             n_sources, n_targets = _count_lines(args.input), _count_lines(args.references)
             if n_sources != n_targets:
                 raise ValueError(f"{n_sources} input sentences but {n_targets} references")
@@ -219,7 +216,7 @@ def cmd_simplify(args) -> int:
         lineno = 0
         for lines in chunks:
             sources = [tokenize(line) for line in lines]
-            if per_line_oracle:
+            if args.references:
                 results = [
                     simplify_batch([src], OracleBackend(tokenize(tgt), vocab, lexicon),
                                    vocab, cfg, lexicon=lexicon)[0]
@@ -290,7 +287,7 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     sources = [tokenize(line) for line in _read_lines(args.corpus)]
     pairs = ()
-    if args.backend == "oracle" and args.references:
+    if args.references:  # only with the oracle (checked in main)
         targets = [tokenize(line) for line in _read_lines(args.references)]
         if len(targets) != len(sources):
             raise ValueError(f"{len(sources)} input sentences but {len(targets)} references")
@@ -388,13 +385,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # The backend-flag rules argparse cannot state, checked before any file is read.
+        backend = getattr(args, "backend", None)
+        if backend == "stat" and not args.model:
+            parser.error("--model is required with --backend stat")
+        if backend == "external" and not (args.peer_cmd or (args.peer_host and args.peer_port)):
+            parser.error("--peer-cmd or --peer-host/--peer-port required with --backend external")
+        if backend and args.peer_port is not None and not 0 < args.peer_port < 65536:
+            parser.error("--peer-port must be in 1..65535")  # a socket would wrap it
+        if backend != "oracle" and getattr(args, "references", None):
+            parser.error("--references needs --backend oracle")
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ProtocolError, PeerUnavailable, InvariantViolation, ShapeMismatch) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

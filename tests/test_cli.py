@@ -537,6 +537,91 @@ class TestModelVocabulary:
         assert out.read_text(encoding="utf-8") == "a b c\n"  # an all-zero model keeps
 
 
+class TestUsageRules:
+    """A broken backend-flag rule exits 1 before any file is read or written."""
+
+    @pytest.fixture()
+    def run(self, workdir, capsys):
+        tmp_path, _, vocab_path = workdir
+        dev = tmp_path / "dev.tsv"
+        dev.write_text(DEV, encoding="utf-8")
+        out, trace, log = tmp_path / "out", tmp_path / "trace.jsonl", tmp_path / "log.tsv"
+
+        def run(command, flags, vocab=vocab_path):
+            args, written = {
+                "simplify": (["simplify", str(dev), str(out), "--trace", str(trace)],
+                             [out, trace]),
+                "tune": (["tune", str(dev), "--config-out", str(out), "--log-out", str(log)],
+                         [out, log]),
+                "bench": (["bench", str(dev), "--tsv-out", str(out)], [out]),
+            }[command]
+            capsys.readouterr()
+            code = main(args + ["--vocab", str(vocab)] + flags)
+            assert not any(path.exists() for path in written)
+            return code, capsys.readouterr().err
+
+        return run
+
+    @pytest.mark.parametrize("command", ["simplify", "tune", "bench"])
+    def test_stat_needs_a_model(self, run, command):
+        code, err = run(command, ["--backend", "stat"])
+        assert code == 1
+        assert "--model is required with --backend stat" in err
+
+    @pytest.mark.parametrize("peer", [[], ["--peer-host", "127.0.0.1"]], ids=["none", "no-port"])
+    @pytest.mark.parametrize("command", ["simplify", "tune", "bench"])
+    def test_external_needs_a_peer(self, run, command, peer):
+        code, err = run(command, ["--backend", "external"] + peer)
+        assert code == 1
+        assert "required with --backend external" in err
+
+    @pytest.mark.parametrize("peer_cmd", [" ", '"x'], ids=["blank", "unclosed-quote"])
+    def test_peer_cmd_must_split_into_a_command(self, run, peer_cmd):
+        code, err = run("simplify", ["--backend", "external", "--peer-cmd", peer_cmd])
+        assert code == 1
+        assert "--peer-cmd" in err
+
+    @pytest.mark.parametrize("port", ["0", "70000", "-1"])
+    def test_peer_port_must_be_a_tcp_port(self, run, port):
+        # The socket layer would take 70000 as port 4464.
+        code, err = run("simplify", ["--backend", "external", "--peer-host", "127.0.0.1",
+                                     "--peer-port", port])
+        assert code == 1
+        assert "--peer-port" in err
+
+    @pytest.mark.parametrize("command", ["simplify", "bench"])
+    def test_references_need_the_oracle(self, workdir, run, command):
+        tmp_path, corpus, vocab_path = workdir
+        model_path = train_stat(tmp_path, corpus, vocab_path)
+        code, err = run(command, ["--backend", "stat", "--model", str(model_path),
+                                  "--references", str(corpus)])
+        assert code == 1
+        assert "--references needs --backend oracle" in err
+
+    def test_is_checked_before_the_vocabulary_is_read(self, run, tmp_path):
+        code, err = run("simplify", ["--backend", "stat"], vocab=tmp_path / "missing.vocab")
+        assert code == 1
+        assert "--model is required" in err
+
+
+class TestTrainStatValues:
+    @pytest.mark.parametrize("flags, message", [
+        (["--hash-dim", "0"], "--hash-dim and --epochs must be >= 1"),
+        (["--epochs", "-3"], "--hash-dim and --epochs must be >= 1"),
+        (["--lr", "nan"], "--lr must be finite and > 0"),
+        (["--lr", "inf"], "--lr must be finite and > 0"),
+        (["--lr", "0"], "--lr must be finite and > 0"),
+    ], ids=["hash-dim-0", "epochs-negative", "lr-nan", "lr-inf", "lr-0"])
+    def test_is_a_data_error_and_writes_no_model(self, workdir, capsys, flags, message):
+        tmp_path, corpus, vocab_path = workdir
+        model_path = tmp_path / "m.model"
+        capsys.readouterr()
+        assert main(["train-stat", str(corpus), str(model_path),
+                     "--vocab", str(vocab_path)] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not model_path.exists()
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert main(["no-such-command"]) == 1
