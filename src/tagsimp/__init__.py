@@ -8,7 +8,6 @@ from .align import (
     build_vocab,
     extract_tags,
     filter_brackets,
-    vocab_overlap,
 )
 from .apply import VerbLexicon, apply_tags, apply_transform, default_lexicon
 from .bench import BenchReport, bench
@@ -95,5 +94,4 @@ __all__ = [
     "syllables",
     "tokenize",
     "tune",
-    "vocab_overlap",
 ]

@@ -99,18 +99,6 @@ def align(src: TokenSeq, tgt: TokenSeq) -> list[AlignOp]:
     return ops
 
 
-def align_cost(ops: Iterable[AlignOp]) -> int:
-    return sum(1 for op in ops if op.kind is not AlignKind.EQUAL)
-
-
-def longest_insert_run(ops: Iterable[AlignOp]) -> int:
-    best = run = 0
-    for op in ops:
-        run = run + 1 if op.kind is AlignKind.INSERT else 0
-        best = max(best, run)
-    return best
-
-
 def extract_tags(
     src: TokenSeq,
     tgt: TokenSeq,
@@ -183,28 +171,6 @@ def filter_brackets(seq: TokenSeq) -> TokenSeq:
         elif depth == 0:
             kept.append(tok)
     return TokenSeq((seq.tokens[0],) + tuple(kept))
-
-
-@dataclass(frozen=True)
-class VocabOverlap:
-    """Shared serialized tags between two vocabularies."""
-
-    shared: int
-    size_a: int
-    size_b: int
-
-    @property
-    def fraction_of_a(self) -> float:
-        return self.shared / self.size_a
-
-    @property
-    def fraction_of_b(self) -> float:
-        return self.shared / self.size_b
-
-
-def vocab_overlap(a: TagVocabulary, b: TagVocabulary) -> VocabOverlap:
-    shared = len({serialize_tag(t) for t in a} & {serialize_tag(t) for t in b})
-    return VocabOverlap(shared=shared, size_a=len(a), size_b=len(b))
 
 
 class PairReader:

@@ -146,10 +146,6 @@ class EditTag:
                 raise ValueError(f"{self.kind.value} tag carries no payload or transform")
 
     @classmethod
-    def keep(cls) -> "EditTag":
-        return KEEP_TAG
-
-    @classmethod
     def delete(cls) -> "EditTag":
         return DELETE_TAG
 

@@ -19,7 +19,6 @@ import json
 import reprlib
 import socket
 import subprocess
-import threading
 from typing import NoReturn, Protocol, Sequence
 
 import numpy as np
@@ -146,12 +145,16 @@ _quote = _QUOTE.repr
 
 
 class ExternalTaggerClient:
-    """TaggerBackend backed by a protocol peer; requests are serialized."""
+    """TaggerBackend backed by a protocol peer.
+
+    One caller at a time: a request's reply is the next line read from the
+    transport, so concurrent callers would read each other's replies.  Give
+    each thread its own client (and its own connection).
+    """
 
     def __init__(self, transport: Transport, vocab: TagVocabulary):
         self._transport = transport
         self._vocab_size = len(vocab)
-        self._lock = threading.Lock()
         self._next_id = 0
         try:
             self._handshake(vocab)
@@ -191,12 +194,11 @@ class ExternalTaggerClient:
         return msg
 
     def predict_batch(self, seqs: Sequence[TokenSeq]) -> list[TagPrediction]:
-        with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-            sentences = [[tok.text for tok in seq] for seq in seqs]
-            self._transport.send_line(json.dumps({"id": request_id, "sentences": sentences}))
-            msg = self._read_json()
+        request_id = self._next_id
+        self._next_id += 1
+        sentences = [[tok.text for tok in seq] for seq in seqs]
+        self._transport.send_line(json.dumps({"id": request_id, "sentences": sentences}))
+        msg = self._read_json()
         if msg.get("id") != request_id:
             raise ProtocolError(f"response id {_quote(msg.get('id'))} does not echo {request_id}")
         preds = msg.get("predictions")

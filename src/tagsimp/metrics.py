@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EmptyCorpus, NoWords
 
@@ -239,9 +239,3 @@ def read_eval_tsv(path) -> list[EvalRecord]:
                 raise ValueError(f"{path}:{lineno}: need source, system and >=1 reference")
             records.append(EvalRecord(fields[0], fields[1], tuple(fields[2:])))
     return records
-
-
-def write_eval_tsv(records: Iterable[EvalRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write("\t".join((r.source, r.system) + r.references) + "\n")

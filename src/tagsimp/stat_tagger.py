@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +26,9 @@ from .tagger import TagPrediction
 DEFAULT_HASH_DIM = 2 ** 18
 _PAD = "<pad>"
 _MAGIC = b"tagsimp-stat-model v1\n"
+# Values checked for finiteness at a time when a model loads, so the check's
+# mask stays at 64 KB instead of 19 MB for the benchmark's class matrix.
+_FINITE_CHECK_SIZE = 2 ** 16
 # Most feature hashes a model keeps; the cache is cleared before it would grow
 # past this.  The benchmark's stat workloads reach about 16k.
 HASH_CACHE_SIZE = 2 ** 16
@@ -127,22 +131,55 @@ class StatTaggerModel:
 
     @classmethod
     def load(cls, path) -> "StatTaggerModel":
+        """Read a model file; a malformed one raises ``ValueError``."""
         with open(path, "rb") as fh:
             magic = fh.readline()
             if magic != _MAGIC:
                 raise ValueError(f"not a stat tagger model file: {magic!r}")
             meta = json.loads(fh.readline().decode("utf-8"))
-            model = cls(
-                n_classes=meta["n_classes"],
-                hash_seed=meta["hash_seed"],
-                dim=meta["dim"],
-                vocab_sha256=meta.get("vocab_sha256", ""),
-            )
-            model.cls_weights = np.load(fh)
-            model.cls_bias = np.load(fh)
-            model.det_weights = np.load(fh)
-            model.det_bias = float(np.load(fh))
+            if not isinstance(meta, dict):
+                raise ValueError(f"{path}: model meta must be a JSON object")
+            n_classes = _meta_int(meta, "n_classes", path, 1)
+            hash_seed = _meta_int(meta, "hash_seed", path, 0, 2 ** 64)  # 8 key bytes
+            dim = _meta_int(meta, "dim", path, 1)
+            vocab_sha256 = meta.get("vocab_sha256", "")
+            if not isinstance(vocab_sha256, str):
+                raise ValueError(f"{path}: model meta vocab_sha256 must be a string")
+            cls_weights = _load_array(fh, "cls_weights", (dim, n_classes), path)
+            cls_bias = _load_array(fh, "cls_bias", (n_classes,), path)
+            det_weights = _load_array(fh, "det_weights", (dim,), path)
+            det_bias = _load_array(fh, "det_bias", (), path)
+        model = cls(n_classes, hash_seed, dim, vocab_sha256)
+        model.cls_weights = cls_weights
+        model.cls_bias = cls_bias
+        model.det_weights = det_weights
+        model.det_bias = float(det_bias)
         return model
+
+
+def _meta_int(meta: dict, key: str, path, low: int, high: float = math.inf) -> int:
+    value = meta.get(key)
+    if type(value) is not int or not low <= value < high:
+        raise ValueError(f"{path}: model meta {key} must be an integer in [{low}, {high}), "
+                         f"got {value!r}")
+    return value
+
+
+def _load_array(fh, name: str, shape: tuple[int, ...], path) -> np.ndarray:
+    try:
+        array = np.load(fh)
+    except EOFError as exc:
+        raise ValueError(f"{path}: model file ends before {name}") from exc
+    if not isinstance(array, np.ndarray):  # an .npz header gives an archive
+        raise ValueError(f"{path}: {name} is not an array")
+    if array.dtype != np.float64 or array.shape != shape:
+        raise ValueError(f"{path}: {name} must be float64 of shape {shape}, "
+                         f"got {array.dtype} of shape {array.shape}")
+    flat = array.ravel(order="K")  # a view: np.load returns a contiguous array
+    for start in range(0, flat.size, _FINITE_CHECK_SIZE):
+        if not np.isfinite(flat[start:start + _FINITE_CHECK_SIZE]).all():
+            raise ValueError(f"{path}: {name} holds a non-finite value")
+    return array
 
 
 def stat_train(
@@ -154,7 +191,15 @@ def stat_train(
     dim: int = DEFAULT_HASH_DIM,
     lexicon: VerbLexicon | None = None,
 ) -> StatTaggerModel:
-    """Train both heads by SGD on cross-entropy; deterministic given the seed."""
+    """Train both heads by SGD on cross-entropy; deterministic given the seed.
+
+    ``dim`` and ``epochs`` must be at least 1 and ``learning_rate`` finite and
+    positive; otherwise ``ValueError`` is raised before ``corpus`` is read.
+    """
+    if dim < 1 or epochs < 1:
+        raise ValueError(f"dim and epochs must be >= 1, got dim={dim}, epochs={epochs}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
     model = StatTaggerModel(
         n_classes=len(vocab), hash_seed=seed, dim=dim, vocab_sha256=vocab.sha256()
     )

@@ -9,13 +9,22 @@ reachable inside the engine's iteration range.
 
 import random
 
-from tagsimp.align import align, longest_insert_run
+from tagsimp.align import AlignKind, align
 from tagsimp.core import tokenize
 
 WORDS = [
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
     "hotel", "india", "juliet", "kilo", "lima", "mike", "november",
 ]
+
+
+def longest_insert_run(ops) -> int:
+    """Length of the longest run of consecutive INSERT ops in an alignment."""
+    best = run = 0
+    for op in ops:
+        run = run + 1 if op.kind is AlignKind.INSERT else 0
+        best = max(best, run)
+    return best
 
 
 def _mutate(rng, max_insert_run):

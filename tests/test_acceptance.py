@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from backends import GrowingBackend, NoisyCorpusOracle, tag_accuracy
-from corpus_gen import synthetic_pairs
+from corpus_gen import longest_insert_run, synthetic_pairs
 from sari_oracle import oracle_sari
-from tagsimp.align import align, extract_tags, filter_brackets, longest_insert_run
+from tagsimp.align import align, extract_tags, filter_brackets
 from tagsimp.apply import apply_tags
 from tagsimp.bench import bench
 from tagsimp.cli import main as cli_main

@@ -173,7 +173,8 @@ class TestRecognizers:
 
 class TestSinglePassExactness:
     def test_short_insert_runs_apply_exactly(self):
-        from tagsimp.align import align, extract_tags, longest_insert_run
+        from corpus_gen import longest_insert_run
+        from tagsimp.align import align, extract_tags
 
         import random
         rng = random.Random(5)

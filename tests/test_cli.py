@@ -537,6 +537,21 @@ class TestModelVocabulary:
         assert out.read_text(encoding="utf-8") == "a b c\n"  # an all-zero model keeps
 
 
+    def test_a_model_with_a_nan_bias_is_a_data_error(self, workdir, capsys):
+        tmp_path, _, vocab_path = workdir
+        model_path = tmp_path / "m.model"
+        model = StatTaggerModel(n_classes=len(TagVocabulary.load(vocab_path)), hash_seed=1, dim=64)
+        model.det_bias = float("nan")  # every line would fail in predict
+        model.save(model_path)
+        inputs, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inputs.write_text("a b c\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["simplify", str(inputs), str(out), "--backend", "stat",
+                     "--vocab", str(vocab_path), "--model", str(model_path)]) == 2
+        assert "det_bias holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUsageRules:
     """A broken backend-flag rule exits 1 before any file is read or written."""
 

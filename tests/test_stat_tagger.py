@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -43,8 +44,7 @@ class TestTraining:
 
     def test_zero_epochs_uniform(self):
         vocab = vocab_for([("a b", "b a x")])
-        model = stat_train(pairs_of([("a b", "b a x")]), vocab, epochs=0,
-                           learning_rate=0.1, seed=1, dim=DIM)
+        model = StatTaggerModel(n_classes=len(vocab), hash_seed=1, dim=DIM)  # untrained
         pred = model.predict_batch([tokenize("a b")])[0]
         assert np.all(np.abs(pred.dist - 1.0 / len(vocab)) < 1e-6)
 
@@ -78,6 +78,25 @@ class TestTraining:
         with pytest.raises(EmptyCorpus):
             stat_train([], vocab, epochs=1, learning_rate=0.1, seed=1, dim=DIM)
 
+    @pytest.mark.parametrize("dim, epochs, learning_rate", [
+        (0, 1, 0.1),
+        (DIM, 0, 0.1),
+        (DIM, -3, 0.1),
+        (DIM, 1, float("nan")),
+        (DIM, 1, float("inf")),
+        (DIM, 1, 0.0),
+        (DIM, 1, -0.1),
+    ], ids=["dim-0", "epochs-0", "epochs-negative", "lr-nan", "lr-inf", "lr-0", "lr-negative"])
+    def test_bad_arguments_raise_before_the_corpus_is_read(self, dim, epochs, learning_rate):
+        def corpus():
+            raise AssertionError("the corpus was read")
+            yield
+
+        vocab = vocab_for([("a b", "a")])
+        with pytest.raises(ValueError):
+            stat_train(corpus(), vocab, epochs=epochs, learning_rate=learning_rate,
+                       seed=1, dim=dim)
+
 
 class TestPredict:
     def test_saturated_detection_is_zero_without_warning(self):
@@ -110,6 +129,100 @@ class TestModelFile:
         path.write_bytes(b"not a model\n")
         with pytest.raises(ValueError):
             StatTaggerModel.load(path)
+
+
+DROP = object()
+
+
+def write_model_file(path, meta=None, arrays=None):
+    """A model file of 3 classes over 8 hash buckets, with parts replaced.
+
+    A meta key set to ``DROP`` is left out; an array set to ``None`` ends the
+    file before it.
+    """
+    meta = {"n_classes": 3, "hash_seed": 1, "dim": 8, "vocab_sha256": "", **(meta or {})}
+    meta = {key: value for key, value in meta.items() if value is not DROP}
+    arrays = {"cls_weights": np.zeros((8, 3)), "cls_bias": np.zeros(3),
+              "det_weights": np.zeros(8), "det_bias": np.float64(0.0), **(arrays or {})}
+    with open(path, "wb") as fh:
+        fh.write(stat_tagger._MAGIC)
+        fh.write(json.dumps(meta).encode("utf-8") + b"\n")
+        for array in arrays.values():
+            if array is None:
+                break
+            np.save(fh, array)
+
+
+def with_value(shape, index, value):
+    array = np.zeros(shape)
+    array[index] = value
+    return array
+
+
+class TestMalformedModelFile:
+    def test_a_well_formed_file_loads(self, tmp_path):
+        write_model_file(tmp_path / "m.model")
+        model = StatTaggerModel.load(tmp_path / "m.model")
+        assert model.cls_weights.shape == (8, 3) and model.det_bias == 0.0
+
+    @pytest.mark.parametrize("meta", [
+        {"dim": DROP},
+        {"dim": "8"},
+        {"n_classes": 3.0},
+        {"n_classes": True},
+        {"hash_seed": -1},
+        {"hash_seed": 2 ** 64},
+        {"vocab_sha256": 5},
+    ], ids=["dim-missing", "dim-string", "n_classes-float", "n_classes-bool",
+            "hash_seed-negative", "hash_seed-too-big", "vocab_sha256-number"])
+    def test_bad_meta(self, tmp_path, meta):
+        write_model_file(tmp_path / "m.model", meta)
+        with pytest.raises(ValueError, match="model meta"):
+            StatTaggerModel.load(tmp_path / "m.model")
+
+    def test_meta_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_bytes(stat_tagger._MAGIC + b"[3, 1, 8]\n")
+        with pytest.raises(ValueError, match="JSON object"):
+            StatTaggerModel.load(path)
+
+    @pytest.mark.parametrize("arrays", [
+        {"cls_weights": np.zeros((7, 3))},
+        {"cls_weights": np.zeros((8, 3), dtype=np.float32)},
+        {"cls_bias": np.zeros(4)},
+        {"det_weights": np.zeros((8, 1))},
+        {"det_bias": np.zeros(1)},
+    ], ids=["cls_weights-too-few-rows", "cls_weights-float32", "cls_bias-too-long",
+            "det_weights-2d", "det_bias-1d"])
+    def test_wrong_shape_or_dtype(self, tmp_path, arrays):
+        write_model_file(tmp_path / "m.model", arrays=arrays)
+        with pytest.raises(ValueError, match="must be float64 of shape"):
+            StatTaggerModel.load(tmp_path / "m.model")
+
+    @pytest.mark.parametrize("arrays", [
+        {"cls_weights": with_value((8, 3), (7, 2), np.nan)},
+        {"cls_bias": with_value(3, 0, np.inf)},
+        {"det_weights": with_value(8, 4, -np.inf)},
+        {"det_bias": np.float64(np.nan)},
+    ], ids=["cls_weights-nan", "cls_bias-inf", "det_weights-minus-inf", "det_bias-nan"])
+    def test_non_finite_values(self, tmp_path, monkeypatch, arrays):
+        monkeypatch.setattr(stat_tagger, "_FINITE_CHECK_SIZE", 5)  # the last block is checked
+        write_model_file(tmp_path / "m.model", arrays=arrays)
+        with pytest.raises(ValueError, match="non-finite"):
+            StatTaggerModel.load(tmp_path / "m.model")
+
+    def test_an_archive_in_place_of_an_array(self, tmp_path):
+        path = tmp_path / "m.model"
+        write_model_file(path, arrays={"cls_weights": None})
+        with open(path, "ab") as fh:
+            np.savez(fh, cls_weights=np.zeros((8, 3)))
+        with pytest.raises(ValueError, match="cls_weights is not an array"):
+            StatTaggerModel.load(path)
+
+    def test_a_file_that_ends_before_an_array(self, tmp_path):
+        write_model_file(tmp_path / "m.model", arrays={"cls_weights": None})
+        with pytest.raises(ValueError, match="ends before cls_weights"):
+            StatTaggerModel.load(tmp_path / "m.model")
 
 
 class TestHashCache:
