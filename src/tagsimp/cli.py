@@ -170,6 +170,8 @@ def cmd_train_stat(args) -> int:
         raise ValueError("--hash-dim and --epochs must be >= 1")
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise ValueError("--lr must be finite and > 0")
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValueError("--seed must be in [0, 2**64) to train a stat model")
     vocab = TagVocabulary.load(args.vocab)
     lexicon = _load_lexicon(args)
     reader = PairReader(args.corpus)

@@ -207,6 +207,9 @@ def simplify_batch(
                 results[idx].exception = pred
                 continue
             try:
+                n_rows, n_tokens = len(pred), len(states[idx])
+                if n_rows != n_tokens:  # a gated pass never reaches apply_tags' length check
+                    raise ShapeMismatch(f"prediction has {n_rows} rows for {n_tokens} tokens")
                 tags, gated = decode_step(pred, vocab, cfg)
                 out = states[idx] if gated else apply_tags(states[idx], tags, lexicon)
             except Exception as exc:

@@ -8,18 +8,21 @@ The wire protocol, over stdio of a subprocess or a TCP connection:
 * request:  ``{"id": n, "sentences": [["$START", "he", ...], ...]}``
 * response: ``{"id": n, "predictions": [{"detect": [...], "dist": [[...], ...]}, ...]}``
 
-One JSON object per line; response ids echo request ids; predictions pair
-one-to-one with the request sentences, in order.  Full distributions are
-carried (no top-k) so that ensembles stay exact.
+One JSON object per UTF-8 line, which ends at a ``\\n`` byte (a ``\\r`` is JSON
+whitespace); response ids echo request ids; predictions pair one-to-one with
+the request sentences, in order.  Full distributions are carried (no top-k) so
+that ensembles stay exact.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import json
 import reprlib
 import socket
 import subprocess
-from typing import NoReturn, Protocol, Sequence
+from typing import BinaryIO, NoReturn, Protocol, Sequence
 
 import numpy as np
 
@@ -34,83 +37,86 @@ class Transport(Protocol):
     def close(self) -> None: ...
 
 
-class SubprocessTransport:
+# A reply line can be tens of megabytes.  Reading up to a pipe's capacity per
+# call and decoding in small pieces joined once makes one line-sized
+# allocation, where decoding a whole bytes line would make two.
+_READ_BUFFER = 64 * 1024
+_PIECE = 16 * 1024
+
+
+class LineTransport:
+    """Frames protocol lines over a binary reader and writer.
+
+    A line is UTF-8 ending at a ``\\n`` byte; a ``\\r`` is JSON whitespace
+    inside it, not a line end.
+    """
+
+    def __init__(self, reader: BinaryIO, writer: BinaryIO):
+        self._reader = reader
+        self._writer = writer
+
+    def send_line(self, line: str) -> None:
+        try:
+            self._writer.write(line.encode("utf-8") + b"\n")
+            self._writer.flush()
+        except (ValueError, OSError) as exc:
+            raise PeerUnavailable(f"peer connection lost: {exc}") from exc
+
+    def recv_line(self) -> str:
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        parts = []
+        while True:
+            raw = self._reader.readline(_PIECE)
+            last = len(raw) < _PIECE or raw.endswith(b"\n")
+            try:
+                parts.append(decoder.decode(raw, last))
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(f"peer sent a line that is not UTF-8: {_quote(raw)}") from exc
+            if last:
+                break
+        line = "".join(parts)
+        if not line:
+            raise PeerUnavailable("peer closed its output")
+        return line
+
+    def close(self) -> None:
+        for stream in (self._writer, self._reader):
+            with contextlib.suppress(OSError):  # a dead peer fails the writer's last flush
+                stream.close()
+
+
+class SubprocessTransport(LineTransport):
     """Talks to a peer process over its stdin/stdout."""
 
     def __init__(self, argv: Sequence[str]):
         try:
             self._proc = subprocess.Popen(
-                list(argv),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=_READ_BUFFER
             )
         except OSError as exc:
             raise PeerUnavailable(f"cannot start peer {argv!r}: {exc}") from exc
-
-    def send_line(self, line: str) -> None:
-        try:
-            assert self._proc.stdin is not None
-            self._proc.stdin.write(line + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, ValueError, OSError) as exc:
-            raise PeerUnavailable(f"peer pipe closed: {exc}") from exc
-
-    def recv_line(self) -> str:
-        assert self._proc.stdout is not None
-        line = self._proc.stdout.readline()
-        if line == "":
-            raise PeerUnavailable("peer closed its output")
-        return line
+        super().__init__(self._proc.stdout, self._proc.stdin)
 
     def close(self) -> None:
-        if self._proc.stdin is not None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
+        super().close()
         self._proc.terminate()
         try:
             self._proc.wait(timeout=10)
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-        if self._proc.stdout is not None:
-            self._proc.stdout.close()
 
 
-class TcpTransport:
+class TcpTransport(LineTransport):
     """Talks to a peer over a TCP connection."""
 
     def __init__(self, host: str, port: int):
         try:
-            self._sock = socket.create_connection((host, port))
+            sock = socket.create_connection((host, port))
         except OSError as exc:
             raise PeerUnavailable(f"cannot connect to {host}:{port}: {exc}") from exc
-        self._reader = self._sock.makefile("r", encoding="utf-8")
-        self._writer = self._sock.makefile("w", encoding="utf-8")
-
-    def send_line(self, line: str) -> None:
-        try:
-            self._writer.write(line + "\n")
-            self._writer.flush()
-        except OSError as exc:
-            raise PeerUnavailable(f"peer connection lost: {exc}") from exc
-
-    def recv_line(self) -> str:
-        line = self._reader.readline()
-        if line == "":
-            raise PeerUnavailable("peer closed the connection")
-        return line
-
-    def close(self) -> None:
-        # The makefile streams hold the socket's fd open until they close too.
-        for stream in (self._reader, self._writer, self._sock):
-            try:
-                stream.close()
-            except OSError:
-                pass
+        with sock:  # the fd is released once both streams are closed too
+            super().__init__(sock.makefile("rb", _READ_BUFFER), sock.makefile("wb"))
 
 
 def _reject_constant(name: str) -> NoReturn:

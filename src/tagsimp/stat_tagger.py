@@ -193,13 +193,16 @@ def stat_train(
 ) -> StatTaggerModel:
     """Train both heads by SGD on cross-entropy; deterministic given the seed.
 
-    ``dim`` and ``epochs`` must be at least 1 and ``learning_rate`` finite and
-    positive; otherwise ``ValueError`` is raised before ``corpus`` is read.
+    ``dim`` and ``epochs`` must be at least 1, ``learning_rate`` finite and
+    positive, and ``seed`` in [0, 2**64) (the hash key's 8 bytes); otherwise
+    ``ValueError`` is raised before ``corpus`` is read.
     """
     if dim < 1 or epochs < 1:
         raise ValueError(f"dim and epochs must be >= 1, got dim={dim}, epochs={epochs}")
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     model = StatTaggerModel(
         n_classes=len(vocab), hash_seed=seed, dim=dim, vocab_sha256=vocab.sha256()
     )

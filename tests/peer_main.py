@@ -7,12 +7,29 @@ implementation.  Usage: python peer_main.py VOCAB_FILE MODE
 Modes: ok (all-KEEP one-hots), wrong-count (one prediction short),
 bad-sum (first dist row sums to 0.5), poison (like bad-sum, but only for
 sentences holding the word "poison"), garbage (non-JSON line),
-wrong-hash (handshake digest mismatch), die (exit after handshake).
+wrong-hash (handshake digest mismatch), die (exit after handshake),
+cr (like ok, with a bare carriage return between the JSON tokens of every
+line it sends), not-utf8 (like ok, with a 0xFF byte inside a JSON string of
+every line it sends).
 """
 
 import hashlib
 import json
 import sys
+
+
+def write_line(data):
+    sys.stdout.buffer.write(data + b"\n")
+    sys.stdout.buffer.flush()
+
+
+def send(obj, mode):
+    """Writes one JSON line, framed as the mode asks."""
+    separators = (",\r", ":\r") if mode == "cr" else None
+    line = json.dumps(obj, separators=separators).encode("utf-8")
+    if mode == "not-utf8":
+        line = line.replace(b"{", b'{"note": "\xff", ', 1)
+    write_line(line)
 
 
 def main() -> int:
@@ -26,7 +43,7 @@ def main() -> int:
     assert "hello" in hello, hello
     if mode == "wrong-hash":
         sha = "0" * 64
-    print(json.dumps({"hello": {"vocab_sha256": sha}}), flush=True)
+    send({"hello": {"vocab_sha256": sha}}, mode)
     if mode == "die":
         return 0
 
@@ -34,7 +51,7 @@ def main() -> int:
         request = json.loads(line)
         sentences = request["sentences"]
         if mode == "garbage":
-            print("this is not json", flush=True)
+            write_line(b"this is not json")
             continue
         predictions = []
         for sentence in sentences:
@@ -48,7 +65,7 @@ def main() -> int:
             predictions = predictions[:-1]
         if mode == "bad-sum" and predictions:
             predictions[0]["dist"][0] = [0.5] + [0.0] * (vocab_size - 1)
-        print(json.dumps({"id": request["id"], "predictions": predictions}), flush=True)
+        send({"id": request["id"], "predictions": predictions}, mode)
     return 0
 
 

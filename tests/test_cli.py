@@ -636,6 +636,16 @@ class TestTrainStatValues:
         assert message in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)], ids=["negative", "2**64"])
+    def test_seed_outside_the_hash_key_range(self, workdir, capsys, seed):
+        tmp_path, corpus, vocab_path = workdir
+        model_path = tmp_path / "m.model"
+        capsys.readouterr()
+        assert main(["--seed", seed, "train-stat", str(corpus), str(model_path),
+                     "--vocab", str(vocab_path)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not model_path.exists()
+
 
 class TestExitCodes:
     def test_usage_error(self):
@@ -657,6 +667,18 @@ class TestExitCodes:
             "--peer-cmd", "/nonexistent/peer-binary",
         ])
         assert code == 3
+
+    def test_peer_line_that_is_not_utf8_is_a_backend_error(self, workdir, tmp_path, capsys):
+        _, _, vocab_path = workdir
+        inputs = tmp_path / "in.txt"
+        inputs.write_text("a b\n", encoding="utf-8")
+        code = main([
+            "simplify", str(inputs), str(tmp_path / "out.txt"),
+            "--backend", "external", "--vocab", str(vocab_path),
+            "--peer-cmd", f"{sys.executable} {PEER} {vocab_path} not-utf8",
+        ])
+        assert code == 3
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_external_backend_over_tcp(self, workdir, tmp_path):
         from tagsimp.core import TagVocabulary

@@ -223,6 +223,27 @@ class TestSimplifyBatch:
         ] * 3
         assert all(item.output is None and item.trace is None for item in results)
 
+    @pytest.mark.parametrize("min_edit_prob", [0.0, 0.5], ids=["ungated", "gated"])
+    def test_prediction_rows_must_match_the_sentence(self, example_vocab, min_edit_prob):
+        inner = AllKeepBackend(example_vocab)
+
+        class OneRowShort:
+            """All-KEEP, but a sentence holding "short" gets one row too few."""
+
+            def predict_batch(self, seqs):
+                return [
+                    TagPrediction(detect=p.detect[:-1], dist=p.dist[:-1])
+                    if "short" in seq.words() else p
+                    for seq, p in zip(seqs, inner.predict_batch(seqs))
+                ]
+
+        seqs = [tokenize("a b c"), tokenize("a short one"), tokenize("x")]
+        results = simplify_batch(seqs, OneRowShort(), example_vocab,
+                                 InferenceConfig(min_edit_prob=min_edit_prob))
+        assert [item.ok for item in results] == [True, False, True]
+        assert results[1].error == "ShapeMismatch: prediction has 3 rows for 4 tokens"
+        assert [item.trace.replay() for item in (results[0], results[2])] == [seqs[0], seqs[2]]
+
     def test_failed_one_sentence_call_is_not_retried(self, example_vocab):
         class AlwaysFailing:
             calls = 0

@@ -1,6 +1,9 @@
+import contextlib
 import gc
+import io
 import json
 import socket
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -13,7 +16,13 @@ import pytest
 from conftest import vocab_for
 from tagsimp.core import TagVocabulary, TokenSeq, tokenize
 from tagsimp.errors import InvariantViolation, PeerUnavailable, ProtocolError
-from tagsimp.external import ExternalTaggerClient, SubprocessTransport, TcpTransport
+from tagsimp import external
+from tagsimp.external import (
+    ExternalTaggerClient,
+    LineTransport,
+    SubprocessTransport,
+    TcpTransport,
+)
 
 PEER = Path(__file__).parent / "peer_main.py"
 
@@ -174,6 +183,90 @@ class TestTcpPeer:
         sock.close()
         with pytest.raises(PeerUnavailable):
             ExternalTaggerClient.from_tcp("127.0.0.1", free_port, vocab)
+
+
+@contextlib.contextmanager
+def peer_transport(kind, path, mode):
+    """A transport to peer_main.py: over its stdio, or over TCP with the
+    accepted socket as its stdin and stdout."""
+    argv = [sys.executable, str(PEER), str(path), mode]
+    if kind == "pipe":
+        transport, proc = SubprocessTransport(argv), None
+    else:
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen(1)
+            transport = TcpTransport("127.0.0.1", server.getsockname()[1])
+            conn, _ = server.accept()
+        with conn:
+            proc = subprocess.Popen(argv, stdin=conn, stdout=conn)
+    try:
+        yield transport
+    finally:
+        transport.close()
+        if proc is not None:
+            proc.wait(timeout=10)
+
+
+@pytest.mark.parametrize("kind", ["pipe", "tcp"])
+class TestFramingOverBothTransports:
+    def test_bare_cr_is_json_whitespace(self, vocab_file, kind):
+        vocab, path = vocab_file
+        seqs = [tokenize("a b"), tokenize("x")]
+        preds = {}
+        for mode in ("ok", "cr"):
+            with peer_transport(kind, path, mode) as transport:
+                preds[mode] = ExternalTaggerClient(transport, vocab).predict_batch(seqs)
+        for ok, cr in zip(preds["ok"], preds["cr"], strict=True):
+            assert np.array_equal(cr.detect, ok.detect) and np.array_equal(cr.dist, ok.dist)
+
+    def test_line_that_is_not_utf8_is_a_protocol_error(self, vocab_file, kind):
+        vocab, path = vocab_file
+        with peer_transport(kind, path, "not-utf8") as transport:
+            with pytest.raises(ProtocolError, match="not UTF-8") as info:
+                ExternalTaggerClient(transport, vocab)
+        assert len(str(info.value)) < 1024
+
+
+class TestLineTransport:
+    def reader(self, data):
+        return LineTransport(io.BufferedReader(io.BytesIO(data)), io.BytesIO())
+
+    def test_lines_end_only_at_a_newline_byte(self):
+        transport = self.reader(b'{"a":\r 1}\r\n[2,\r\x0b3]\nlast')
+        assert transport.recv_line() == '{"a":\r 1}\r\n'
+        assert transport.recv_line() == "[2,\r\x0b3]\n"
+        assert transport.recv_line() == "last"  # a line cut short by EOF
+        with pytest.raises(PeerUnavailable):
+            transport.recv_line()
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+    def test_long_line_with_characters_across_read_pieces(self, offset):
+        line = "x" * (external._PIECE + offset) + "\u00e9\u20ac" * external._PIECE + "\n"
+        transport = self.reader(line.encode("utf-8") * 2)
+        assert transport.recv_line() == line
+        assert transport.recv_line() == line
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\n",
+        b"x" * (3 * external._PIECE) + b"\xc3(\n",
+        b"ends mid-character \xe2\x82",
+    ], ids=["invalid byte", "invalid in a later piece", "truncated at EOF"])
+    def test_line_that_is_not_utf8_is_a_protocol_error(self, data):
+        with pytest.raises(ProtocolError, match="not UTF-8") as info:
+            self.reader(data).recv_line()
+        assert len(str(info.value)) < 1024
+
+    def test_send_line_writes_utf8_and_a_newline(self):
+        writer = io.BytesIO()
+        LineTransport(io.BytesIO(), writer).send_line('["\u00e9"]')
+        assert writer.getvalue() == '["\u00e9"]\n'.encode("utf-8")
+
+    def test_send_on_a_closed_stream_is_peer_unavailable(self):
+        transport = LineTransport(io.BytesIO(), io.BytesIO())
+        transport.close()
+        with pytest.raises(PeerUnavailable):
+            transport.send_line("{}")
 
 
 class _ScriptedTransport:

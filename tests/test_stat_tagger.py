@@ -78,16 +78,19 @@ class TestTraining:
         with pytest.raises(EmptyCorpus):
             stat_train([], vocab, epochs=1, learning_rate=0.1, seed=1, dim=DIM)
 
-    @pytest.mark.parametrize("dim, epochs, learning_rate", [
-        (0, 1, 0.1),
-        (DIM, 0, 0.1),
-        (DIM, -3, 0.1),
-        (DIM, 1, float("nan")),
-        (DIM, 1, float("inf")),
-        (DIM, 1, 0.0),
-        (DIM, 1, -0.1),
-    ], ids=["dim-0", "epochs-0", "epochs-negative", "lr-nan", "lr-inf", "lr-0", "lr-negative"])
-    def test_bad_arguments_raise_before_the_corpus_is_read(self, dim, epochs, learning_rate):
+    @pytest.mark.parametrize("dim, epochs, learning_rate, seed", [
+        (0, 1, 0.1, 1),
+        (DIM, 0, 0.1, 1),
+        (DIM, -3, 0.1, 1),
+        (DIM, 1, float("nan"), 1),
+        (DIM, 1, float("inf"), 1),
+        (DIM, 1, 0.0, 1),
+        (DIM, 1, -0.1, 1),
+        (DIM, 1, 0.1, -1),  # the hash key is the seed's 8 bytes
+        (DIM, 1, 0.1, 2 ** 64),
+    ], ids=["dim-0", "epochs-0", "epochs-negative", "lr-nan", "lr-inf", "lr-0", "lr-negative",
+            "seed-negative", "seed-2**64"])
+    def test_bad_arguments_raise_before_the_corpus_is_read(self, dim, epochs, learning_rate, seed):
         def corpus():
             raise AssertionError("the corpus was read")
             yield
@@ -95,7 +98,7 @@ class TestTraining:
         vocab = vocab_for([("a b", "a")])
         with pytest.raises(ValueError):
             stat_train(corpus(), vocab, epochs=epochs, learning_rate=learning_rate,
-                       seed=1, dim=dim)
+                       seed=seed, dim=dim)
 
 
 class TestPredict:
