@@ -46,20 +46,31 @@ EXIT_BACKEND = 3
 BATCH_SIZE = 128
 
 
+@contextmanager
+def _lines(path) -> Iterator[Iterator[str]]:
+    """The lines of a UTF-8 file without their line ends.
+
+    A line ends only at "\n", so a CRLF file reads as an LF one and any other
+    "\r" stays inside its line, where `tokenize` takes it for whitespace.
+    """
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        yield (line.rstrip("\r\n") for line in fh)
+
+
 def _read_lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    with _lines(path) as lines:
+        return list(lines)
 
 
-def _chunks(fh) -> Iterator[list[str]]:
-    """The file's lines without their newlines, BATCH_SIZE lines at a time."""
-    while lines := [line.rstrip("\n") for line in islice(fh, BATCH_SIZE)]:
-        yield lines
+def _chunks(lines) -> Iterator[list[str]]:
+    """The lines, BATCH_SIZE at a time."""
+    while chunk := list(islice(lines, BATCH_SIZE)):
+        yield chunk
 
 
 def _count_lines(path) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        return sum(1 for _ in fh)
+    with _lines(path) as lines:
+        return sum(1 for _ in lines)
 
 
 def _load_lexicon(args) -> VerbLexicon:
@@ -131,10 +142,8 @@ def _backend(args, vocab, lexicon, pairs=()):
 
 def cmd_preprocess(args) -> int:
     skipped = 0
-    with open(args.input, "r", encoding="utf-8") as src, \
-            open(args.output, "w", encoding="utf-8") as dst:
-        for raw in src:
-            line = raw.rstrip("\n")
+    with _lines(args.input) as lines, open(args.output, "w", encoding="utf-8") as dst:
+        for line in lines:
             if not line.strip():
                 continue
             fields = line.split("\t")
@@ -197,18 +206,16 @@ def cmd_simplify(args) -> int:
     vocab = TagVocabulary.load(args.vocab)
     lexicon = _load_lexicon(args)
     cfg = _load_config(args)
-    if args.parallelism < 1:  # checked here too, since an empty input makes no call
-        raise ValueError("parallelism must be >= 1")
     # The oracle with references tags each sentence toward its own reference,
     # so it iterates all the way to it; every other backend takes a chunk per call.
     failures = 0
     with ExitStack() as stack:
-        chunks = _chunks(stack.enter_context(open(args.input, "r", encoding="utf-8")))
+        chunks = _chunks(stack.enter_context(_lines(args.input)))
         if args.references:
             n_sources, n_targets = _count_lines(args.input), _count_lines(args.references)
             if n_sources != n_targets:
                 raise ValueError(f"{n_sources} input sentences but {n_targets} references")
-            targets = _chunks(stack.enter_context(open(args.references, "r", encoding="utf-8")))
+            targets = _chunks(stack.enter_context(_lines(args.references)))
         else:  # no sources: the identity oracle answers a sentence it lacks as itself
             backend = stack.enter_context(_backend(args, vocab, lexicon))
         out_fh = stack.enter_context(open(args.output, "w", encoding="utf-8"))
@@ -225,7 +232,7 @@ def cmd_simplify(args) -> int:
                     for src, tgt in zip(sources, next(targets))
                 ]
             else:
-                results = simplify_batch(sources, backend, vocab, cfg, args.parallelism, lexicon)
+                results = simplify_batch(sources, backend, vocab, cfg, lexicon=lexicon)
             for src, item in zip(sources, results):
                 lineno += 1
                 if item.ok:
@@ -302,7 +309,6 @@ def cmd_bench(args) -> int:
             cfg,
             batch_size=args.batch_size,
             runs=args.runs,
-            parallelism=args.parallelism,
             lexicon=lexicon,
         )
     print(report.pretty())
@@ -350,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "each line is iterated to its own reference")
     _add_config_args(p)
     p.add_argument("--trace", help="write per-sentence traces as JSON lines")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="at least 1; outputs and backend calls do not depend on it")
     p.set_defaults(func=cmd_simplify)
 
     p = sub.add_parser("evaluate", help="score source<TAB>system<TAB>refs records")
@@ -375,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--batch-size", type=int, default=BATCH_SIZE)
     p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="at least 1; outputs and backend calls do not depend on it")
     p.add_argument("--tsv-out")
     p.set_defaults(func=cmd_bench)
 

@@ -106,25 +106,6 @@ class TestTrainAndSimplify:
         traces = [json.loads(line) for line in trace_path.read_text().splitlines()]
         assert all("steps" in t for t in traces)
 
-    def test_parallelism_changes_no_bytes(self, workdir):
-        tmp_path, corpus, vocab_path = workdir
-        model_path = tmp_path / "m.model"
-        main(["--seed", "3", "train-stat", str(corpus), str(model_path),
-              "--vocab", str(vocab_path), "--epochs", "2", "--lr", "0.5",
-              "--hash-dim", "4096"])
-        inputs = tmp_path / "in.txt"
-        inputs.write_text("".join(s + "\n" for s, _ in CORPUS) * 5, encoding="utf-8")
-        outs = []
-        for par in ("1", "4"):
-            out_path = tmp_path / f"out{par}.txt"
-            assert main([
-                "simplify", str(inputs), str(out_path),
-                "--backend", "stat", "--vocab", str(vocab_path),
-                "--model", str(model_path), "--parallelism", par,
-            ]) == 0
-            outs.append(out_path.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_gate_above_one_copies_input(self, workdir):
         tmp_path, corpus, vocab_path = workdir
         inputs = tmp_path / "in.txt"
@@ -181,12 +162,11 @@ class TestChunkedSimplify:
         assert len(lines) > 2 * BATCH_SIZE
         return lines
 
-    def run_cli(self, tmp_path, capsys, lines, backend_args, parallelism):
+    def run_cli(self, tmp_path, capsys, lines, backend_args):
         inputs, out, trace = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "trace.jsonl"
         inputs.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         capsys.readouterr()
-        code = main(["simplify", str(inputs), str(out), "--trace", str(trace),
-                     "--parallelism", str(parallelism), *backend_args])
+        code = main(["simplify", str(inputs), str(out), "--trace", str(trace), *backend_args])
         return code, out.read_text(encoding="utf-8"), trace.read_text(encoding="utf-8"), \
             capsys.readouterr().err
 
@@ -224,8 +204,7 @@ class TestChunkedSimplify:
         return (3 if errors else 0, "".join(line + "\n" for line in outputs),
                 "".join(line + "\n" for line in traces), "".join(e + "\n" for e in errors))
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_stat(self, workdir, capsys, parallelism):
+    def test_stat(self, workdir, capsys):
         tmp_path, corpus, vocab_path = workdir
         model_path = tmp_path / "m.model"
         main(["--seed", "3", "train-stat", str(corpus), str(model_path),
@@ -234,7 +213,7 @@ class TestChunkedSimplify:
         lines = self.lines()
         got = self.run_cli(tmp_path, capsys, lines, [
             "--backend", "stat", "--vocab", str(vocab_path), "--model", str(model_path),
-        ], parallelism)
+        ])
         vocab = TagVocabulary.load(vocab_path)
         want = self.one_batch(lines, StatTaggerModel.load(model_path), vocab)
         assert got == want
@@ -244,7 +223,7 @@ class TestChunkedSimplify:
         tmp_path, _, vocab_path = workdir
         lines = self.lines()
         got = self.run_cli(tmp_path, capsys, lines,
-                           ["--backend", "oracle", "--vocab", str(vocab_path)], 1)
+                           ["--backend", "oracle", "--vocab", str(vocab_path)])
         vocab = TagVocabulary.load(vocab_path)
         sources = [tokenize(line) for line in lines]
         backend = CorpusOracleBackend(list(zip(sources, sources)), vocab, default_lexicon())
@@ -258,7 +237,7 @@ class TestChunkedSimplify:
         got = self.run_cli(tmp_path, capsys, lines, [
             "--backend", "oracle", "--vocab", str(vocab_path),
             "--references", str(tmp_path / "refs.txt"),
-        ], 1)
+        ])
         vocab = TagVocabulary.load(vocab_path)
         assert got == self.per_line_oracle(lines, refs, OracleBackend, vocab)
         assert got[:2] == (0, "".join(r + "\n" for r in refs))
@@ -280,20 +259,19 @@ class TestChunkedSimplify:
         got = self.run_cli(tmp_path, capsys, lines, [
             "--backend", "oracle", "--vocab", str(vocab_path),
             "--references", str(tmp_path / "refs.txt"),
-        ], 1)
+        ])
         vocab = TagVocabulary.load(vocab_path)
         assert got == self.per_line_oracle(lines, refs, PoisonedOracle, vocab)
         assert got[0] == 3
         assert got[3].startswith(f"line {BATCH_SIZE + 6}: RuntimeError: no gold tags")
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_peer_with_a_failing_line(self, workdir, capsys, parallelism):
+    def test_peer_with_a_failing_line(self, workdir, capsys):
         tmp_path, _, vocab_path = workdir
         lines = self.lines(poison_at=BATCH_SIZE + 5)
         peer_cmd = f"{sys.executable} {PEER} {vocab_path} poison"
         got = self.run_cli(tmp_path, capsys, lines, [
             "--backend", "external", "--vocab", str(vocab_path), "--peer-cmd", peer_cmd,
-        ], parallelism)
+        ])
         vocab = TagVocabulary.load(vocab_path)
         client = ExternalTaggerClient.from_command(
             [sys.executable, str(PEER), str(vocab_path), "poison"], vocab
@@ -368,6 +346,71 @@ class TestChunkedSimplify:
         assert main(args) == 0
         assert calls[0] == n_lines * (2 if with_references else 1)
         assert max(samples) - before <= 4 * 8, (before, samples)  # about two chunks
+
+
+class TestLineEnds:
+    """A line of a CLI input ends only at "\\n": a CRLF file reads as an LF one,
+    and any other "\\r" is whitespace inside its line."""
+
+    def simplify(self, workdir, text, refs=None):
+        tmp_path, _, vocab_path = workdir
+        inputs, out, trace = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "trace.jsonl"
+        inputs.write_bytes(text.encode("utf-8"))
+        args = ["simplify", str(inputs), str(out), "--trace", str(trace),
+                "--backend", "oracle", "--vocab", str(vocab_path)]
+        if refs is not None:
+            (tmp_path / "refs.txt").write_bytes(refs.encode("utf-8"))
+            args += ["--references", str(tmp_path / "refs.txt")]
+        assert main(args) == 0
+        return out.read_bytes(), len(trace.read_bytes().splitlines())
+
+    @pytest.mark.parametrize("refs", [None, "one two three four\nfive six\n"],
+                             ids=["alone", "references"])
+    def test_simplify_keeps_a_bare_cr_inside_its_line(self, workdir, refs):
+        # Split at the "\r", output line 2 would belong to half of input line 1.
+        got = self.simplify(workdir, "one two\rthree four\nfive six\n", refs)
+        assert got == (b"one two three four\nfive six\n", 2)
+
+    @pytest.mark.parametrize("refs", [None, "one two\r\nfive\r\n"], ids=["alone", "references"])
+    def test_simplify_reads_crlf_as_lf(self, workdir, refs):
+        lf = self.simplify(workdir, "one two\nfive six\n", refs and refs.replace("\r\n", "\n"))
+        assert self.simplify(workdir, "one two\r\nfive six\r\n", refs) == lf
+        assert lf[1] == 2
+
+    @pytest.mark.parametrize("text, want", [
+        ("a  b\rc\td\n", b"a b c\td\n"),
+        ("a  b\tc\r\nd\r\n", b"a b\tc\nd\n"),
+    ], ids=["bare-cr", "crlf"])
+    def test_preprocess(self, tmp_path, text, want):
+        src, out = tmp_path / "in.tsv", tmp_path / "out.tsv"
+        src.write_bytes(text.encode("utf-8"))
+        assert main(["preprocess", str(src), str(out)]) == 0
+        assert out.read_bytes() == want
+
+    @pytest.mark.parametrize("dev", [DEV.replace("cat sat", "cat\rsat"), DEV.replace("\n", "\r\n")],
+                             ids=["bare-cr", "crlf"])
+    def test_tune_reads_the_dev_set_as_with_lf(self, workdir, dev):
+        tmp_path, _, vocab_path = workdir
+
+        def tuned(text):
+            dev_path, cfg_out, log_out = tmp_path / "dev.tsv", tmp_path / "cfg", tmp_path / "log"
+            dev_path.write_bytes(text.encode("utf-8"))
+            assert main(["--seed", "2", "tune", str(dev_path), "--backend", "oracle",
+                         "--vocab", str(vocab_path), "--budget", "4",
+                         "--config-out", str(cfg_out), "--log-out", str(log_out)]) == 0
+            return cfg_out.read_bytes(), log_out.read_bytes()
+
+        assert tuned(dev) == tuned(DEV)
+
+    @pytest.mark.parametrize("corpus", ["a b\rc\nd e\n", "a b c\r\nd e\r\n"],
+                             ids=["bare-cr", "crlf"])
+    def test_bench_pairs_each_line_with_its_reference(self, workdir, corpus):
+        tmp_path, _, vocab_path = workdir
+        sentences, refs, tsv_out = tmp_path / "bench.txt", tmp_path / "refs.txt", tmp_path / "tsv"
+        sentences.write_bytes(corpus.encode("utf-8"))
+        refs.write_text("a b c\nd e\n", encoding="utf-8")
+        assert main(["bench", str(sentences), "--backend", "oracle", "--vocab", str(vocab_path),
+                     "--references", str(refs), "--runs", "1", "--tsv-out", str(tsv_out)]) == 0
 
 
 class TestEvaluateCommand:
@@ -613,6 +656,12 @@ class TestUsageRules:
         assert code == 1
         assert "--references needs --backend oracle" in err
 
+    @pytest.mark.parametrize("command", ["simplify", "bench"])
+    def test_parallelism_is_not_an_option(self, run, command):
+        code, err = run(command, ["--backend", "oracle", "--parallelism", "2"])
+        assert code == 1
+        assert "unrecognized arguments: --parallelism 2" in err
+
     def test_is_checked_before_the_vocabulary_is_read(self, run, tmp_path):
         code, err = run("simplify", ["--backend", "stat"], vocab=tmp_path / "missing.vocab")
         assert code == 1
@@ -728,13 +777,6 @@ class TestExitCodes:
         assert main(base + ["--config", str(cfg_path)]) == 2
         assert "min_edit_prob must be finite" in capsys.readouterr().err
         assert main(base + ["--config", str(cfg_path), "--min-edit-prob", "0.5"]) == 2
-
-    def test_parallelism_below_one_is_a_data_error_on_an_empty_input(self, workdir, tmp_path):
-        _, _, vocab_path = workdir
-        inputs = tmp_path / "in.txt"
-        inputs.write_text("", encoding="utf-8")
-        assert main(["simplify", str(inputs), str(tmp_path / "out.txt"), "--parallelism", "0",
-                     "--backend", "oracle", "--vocab", str(vocab_path)]) == 2
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
