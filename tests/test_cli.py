@@ -204,10 +204,11 @@ class TestChunkedSimplify:
         return (3 if errors else 0, "".join(line + "\n" for line in outputs),
                 "".join(line + "\n" for line in traces), "".join(e + "\n" for e in errors))
 
-    def test_stat(self, workdir, capsys):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_stat(self, workdir, capsys, seed):
         tmp_path, corpus, vocab_path = workdir
         model_path = tmp_path / "m.model"
-        main(["--seed", "3", "train-stat", str(corpus), str(model_path),
+        main(["--seed", str(seed), "train-stat", str(corpus), str(model_path),
               "--vocab", str(vocab_path), "--epochs", "4", "--lr", "0.5",
               "--hash-dim", "4096"])
         lines = self.lines()
@@ -265,9 +266,10 @@ class TestChunkedSimplify:
         assert got[0] == 3
         assert got[3].startswith(f"line {BATCH_SIZE + 6}: RuntimeError: no gold tags")
 
-    def test_peer_with_a_failing_line(self, workdir, capsys):
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_peer_with_a_failing_line(self, workdir, capsys, chunk):
         tmp_path, _, vocab_path = workdir
-        lines = self.lines(poison_at=BATCH_SIZE + 5)
+        lines = self.lines(poison_at=(chunk - 1) * BATCH_SIZE + 5)
         peer_cmd = f"{sys.executable} {PEER} {vocab_path} poison"
         got = self.run_cli(tmp_path, capsys, lines, [
             "--backend", "external", "--vocab", str(vocab_path), "--peer-cmd", peer_cmd,
@@ -282,7 +284,7 @@ class TestChunkedSimplify:
             client.close()
         assert got == want
         assert got[0] == 3
-        assert got[3].startswith(f"line {BATCH_SIZE + 6}: InvariantViolation: ")
+        assert got[3].startswith(f"line {(chunk - 1) * BATCH_SIZE + 6}: InvariantViolation: ")
 
     def test_peak_memory_does_not_grow_with_the_input(self, tmp_path):
         # Dense rows of 1,000 tags (8 KB per token) outweigh the tokens, so a
