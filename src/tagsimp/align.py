@@ -24,6 +24,7 @@ from .core import (
     TagVocabulary,
     Token,
     TokenSeq,
+    open_lines,
     serialize_tag,
 )
 
@@ -185,9 +186,8 @@ class PairReader:
         self.skipped = 0
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
+        with open_lines(self.path) as lines:
+            for line in lines:
                 if not line:
                     continue
                 fields = line.split("\t")

@@ -21,6 +21,7 @@ from .core import (
     Token,
     TokenSeq,
     TransformKind,
+    open_lines,
 )
 from .errors import LengthMismatch
 
@@ -40,14 +41,13 @@ class VerbLexicon:
 
     @classmethod
     def from_path(cls, path) -> "VerbLexicon":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls._from_lines(fh)
+        with open_lines(path) as lines:
+            return cls._from_lines(lines)
 
     @classmethod
     def _from_lines(cls, lines: Iterable[str]) -> "VerbLexicon":
         rows = []
         for line in lines:
-            line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import shlex
 import sys
 from contextlib import ExitStack, closing, contextmanager
@@ -21,7 +22,7 @@ from typing import Iterator
 from .align import PairReader, build_vocab, filter_brackets
 from .apply import VerbLexicon, default_lexicon
 from .bench import bench as run_bench
-from .core import TagVocabulary, detokenize, tokenize
+from .core import TagVocabulary, detokenize, open_lines, tokenize
 from .engine import InferenceConfig, simplify_batch
 from .errors import (
     InvariantViolation,
@@ -46,19 +47,8 @@ EXIT_BACKEND = 3
 BATCH_SIZE = 128
 
 
-@contextmanager
-def _lines(path) -> Iterator[Iterator[str]]:
-    """The lines of a UTF-8 file without their line ends.
-
-    A line ends only at "\n", so a CRLF file reads as an LF one and any other
-    "\r" stays inside its line, where `tokenize` takes it for whitespace.
-    """
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        yield (line.rstrip("\r\n") for line in fh)
-
-
 def _read_lines(path) -> list[str]:
-    with _lines(path) as lines:
+    with open_lines(path) as lines:
         return list(lines)
 
 
@@ -69,7 +59,7 @@ def _chunks(lines) -> Iterator[list[str]]:
 
 
 def _count_lines(path) -> int:
-    with _lines(path) as lines:
+    with open_lines(path) as lines:
         return sum(1 for _ in lines)
 
 
@@ -142,7 +132,7 @@ def _backend(args, vocab, lexicon, pairs=()):
 
 def cmd_preprocess(args) -> int:
     skipped = 0
-    with _lines(args.input) as lines, open(args.output, "w", encoding="utf-8") as dst:
+    with open_lines(args.input) as lines, open(args.output, "w", encoding="utf-8") as dst:
         for line in lines:
             if not line.strip():
                 continue
@@ -198,7 +188,10 @@ def cmd_train_stat(args) -> int:
     if reader.skipped:
         print(f"warning: skipped {reader.skipped} malformed lines", file=sys.stderr)
     losses = ", ".join(f"{loss:.4f}" for loss in model.epoch_losses)
-    print(f"trained on {len(pairs)} pairs; epoch losses: {losses}", file=sys.stderr)
+    size_mb = os.path.getsize(args.output) / 1e6
+    print(f"trained on {len(pairs)} pairs; epoch losses: {losses}; "
+          f"{len(model.hashes)} of {model.dim} hash rows trained ({size_mb:.2f} MB)",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -210,12 +203,12 @@ def cmd_simplify(args) -> int:
     # so it iterates all the way to it; every other backend takes a chunk per call.
     failures = 0
     with ExitStack() as stack:
-        chunks = _chunks(stack.enter_context(_lines(args.input)))
+        chunks = _chunks(stack.enter_context(open_lines(args.input)))
         if args.references:
             n_sources, n_targets = _count_lines(args.input), _count_lines(args.references)
             if n_sources != n_targets:
                 raise ValueError(f"{n_sources} input sentences but {n_targets} references")
-            targets = _chunks(stack.enter_context(_lines(args.references)))
+            targets = _chunks(stack.enter_context(open_lines(args.references)))
         else:  # no sources: the identity oracle answers a sentence it lacks as itself
             backend = stack.enter_context(_backend(args, vocab, lexicon))
         out_fh = stack.enter_context(open(args.output, "w", encoding="utf-8"))

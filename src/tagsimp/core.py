@@ -11,6 +11,7 @@ such as ``$APPEND_just`` or ``$TRANSFORM_VERB_VB_VBZ``.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -18,6 +19,17 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import MalformedTag
 
 START_TEXT = "$START"
+
+
+@contextmanager
+def open_lines(path) -> Iterator[Iterator[str]]:
+    """The lines of a UTF-8 file without their line ends.
+
+    A line ends only at "\n", so a CRLF file reads as an LF one and any other
+    "\r" stays inside its line, where `tokenize` takes it for whitespace.
+    """
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        yield (line.rstrip("\r\n") for line in fh)
 
 
 class EditKind(Enum):
@@ -270,6 +282,5 @@ class TagVocabulary:
 
     @classmethod
     def load(cls, path) -> "TagVocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-        return cls([parse_tag(line) for line in lines])
+        with open_lines(path) as lines:
+            return cls([parse_tag(line) for line in lines if line.strip()])

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from .core import open_lines
 from .errors import EmptyCorpus, NoWords
 
 NGRAM_MAX = 4
@@ -229,9 +230,8 @@ def evaluate(records: Sequence[EvalRecord], with_fkgl: bool = True) -> EvalRepor
 def read_eval_tsv(path) -> list[EvalRecord]:
     """source<TAB>system<TAB>ref1[<TAB>ref2 ...] per line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+    with open_lines(path) as lines:
+        for lineno, line in enumerate(lines, 1):
             if not line:
                 continue
             fields = line.split("\t")

@@ -6,6 +6,11 @@ over the tag vocabulary, both reading the same sparse hashed context
 features (token identity, lowercased form, a +/-2 token window, prefixes
 and suffixes up to three characters, and a sentinel marker).  Feature
 hashing is seed-stable; collisions are accepted.
+
+Only the hash buckets that training touched hold weights: the sorted
+trained hashes give rows 0..k-1, and row k, which stays zero, serves every
+other hash.  A feature's prediction is bitwise the one a dense
+``(dim, n_classes)`` table would give, whose untouched rows stay +0.0.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,11 +31,15 @@ from .tagger import TagPrediction
 
 DEFAULT_HASH_DIM = 2 ** 18
 _PAD = "<pad>"
-_MAGIC = b"tagsimp-stat-model v1\n"
+_MAGIC = b"tagsimp-stat-model v2\n"
+_MAGIC_V1 = b"tagsimp-stat-model v1\n"
+# Longest magic or meta line a model file may have; a longer one is rejected
+# after this many bytes are read, not after the whole file.
+_HEADER_LINE_LIMIT = 4096
 # Values checked for finiteness at a time when a model loads, so the check's
-# mask stays at 64 KB instead of 19 MB for the benchmark's class matrix.
+# mask stays at 64 KB instead of 15 MB for the benchmark's class rows.
 _FINITE_CHECK_SIZE = 2 ** 16
-# Most feature hashes a model keeps; the cache is cleared before it would grow
+# Most feature ids a hash cache keeps; the cache is cleared before it would grow
 # past this.  The benchmark's stat workloads reach about 16k.
 HASH_CACHE_SIZE = 2 ** 16
 
@@ -39,6 +49,21 @@ def _hash_feature(name: str, seed: int, dim: int) -> int:
         name.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
     ).digest()
     return int.from_bytes(digest, "little") % dim
+
+
+def _feature_ids(features: list[list[str]], cache: dict[str, int],
+                 id_of: Callable[[str], int]) -> list[list[int]]:
+    """Each feature's ``id_of`` through ``cache``, cleared before it would pass HASH_CACHE_SIZE."""
+    distinct = {f for feats in features for f in feats}
+    missing = distinct.difference(cache)
+    if len(cache) + len(missing) > HASH_CACHE_SIZE:
+        cache.clear()
+        missing = distinct
+        if len(distinct) > HASH_CACHE_SIZE:
+            cache = {}  # this sentence alone would overfill the cache
+    for feat in missing:
+        cache[feat] = id_of(feat)
+    return [[cache[f] for f in feats] for feats in features]
 
 
 def sentence_features(seq: TokenSeq) -> list[list[str]]:
@@ -69,26 +94,26 @@ class StatTaggerModel:
         self.hash_seed = hash_seed
         self.dim = dim
         self.vocab_sha256 = vocab_sha256
-        self.cls_weights = np.zeros((dim, n_classes), dtype=np.float64)
         self.cls_bias = np.zeros(n_classes, dtype=np.float64)
-        self.det_weights = np.zeros(dim, dtype=np.float64)
         self.det_bias = 0.0
         self.epoch_losses: list[float] = []
-        self._hash_cache: dict[str, int] = {}
+        self._set_rows(np.zeros(0, dtype=np.int64), np.zeros((1, n_classes)), np.zeros(1))
+
+    def _set_rows(self, hashes: np.ndarray, cls_weights: np.ndarray,
+                  det_weights: np.ndarray) -> None:
+        """Give the sorted trained ``hashes`` their rows; the last row serves every other hash."""
+        self.hashes = hashes
+        self.cls_weights = cls_weights
+        self.det_weights = det_weights
+        self._row_of = {h: row for row, h in enumerate(hashes.tolist())}
+        self._hash_cache: dict[str, int] = {}  # feature -> row id, under this row map only
+
+    def _row_id(self, feat: str) -> int:
+        return self._row_of.get(_hash_feature(feat, self.hash_seed, self.dim), len(self.hashes))
 
     def _sentence_indices(self, seq: TokenSeq) -> list[list[int]]:
-        cache = self._hash_cache
-        features = sentence_features(seq)
-        distinct = {f for feats in features for f in feats}
-        missing = distinct.difference(cache)
-        if len(cache) + len(missing) > HASH_CACHE_SIZE:
-            cache.clear()
-            missing = distinct
-            if len(distinct) > HASH_CACHE_SIZE:
-                cache = {}  # this sentence alone would overfill the model's cache
-        for feat in missing:
-            cache[feat] = _hash_feature(feat, self.hash_seed, self.dim)
-        return [[cache[f] for f in feats] for feats in features]
+        """The row ids of every token's features."""
+        return _feature_ids(sentence_features(seq), self._hash_cache, self._row_id)
 
     def _probs(self, features: Sequence[list[int]]) -> tuple[np.ndarray, np.ndarray]:
         """Detection probabilities and tag distributions of the tokens' features."""
@@ -124,19 +149,21 @@ class StatTaggerModel:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
-            np.save(fh, self.cls_weights)
-            np.save(fh, self.cls_bias)
-            np.save(fh, self.det_weights)
-            np.save(fh, np.float64(self.det_bias))
+            for array in (self.hashes, self.cls_weights, self.cls_bias, self.det_weights,
+                          np.float64(self.det_bias)):
+                np.save(fh, array)
 
     @classmethod
     def load(cls, path) -> "StatTaggerModel":
         """Read a model file; a malformed one raises ``ValueError``."""
         with open(path, "rb") as fh:
-            magic = fh.readline()
+            magic = _header_line(fh, "magic", path)
+            if magic == _MAGIC_V1:
+                raise ValueError(f"{path}: a v1 stat model, which this version does not read; "
+                                 f"retrain it with `tagsimp train-stat`")
             if magic != _MAGIC:
-                raise ValueError(f"not a stat tagger model file: {magic!r}")
-            meta = json.loads(fh.readline().decode("utf-8"))
+                raise ValueError(f"not a stat tagger model file: {magic[:64]!r}")
+            meta = json.loads(_header_line(fh, "meta", path).decode("utf-8"))
             if not isinstance(meta, dict):
                 raise ValueError(f"{path}: model meta must be a JSON object")
             n_classes = _meta_int(meta, "n_classes", path, 1)
@@ -145,16 +172,26 @@ class StatTaggerModel:
             vocab_sha256 = meta.get("vocab_sha256", "")
             if not isinstance(vocab_sha256, str):
                 raise ValueError(f"{path}: model meta vocab_sha256 must be a string")
-            cls_weights = _load_array(fh, "cls_weights", (dim, n_classes), path)
+            hashes = _load_hashes(fh, dim, path)
+            rows = len(hashes) + 1
+            cls_weights = _load_array(fh, "cls_weights", (rows, n_classes), path)
             cls_bias = _load_array(fh, "cls_bias", (n_classes,), path)
-            det_weights = _load_array(fh, "det_weights", (dim,), path)
+            det_weights = _load_array(fh, "det_weights", (rows,), path)
             det_bias = _load_array(fh, "det_bias", (), path)
+        if cls_weights[-1].any() or det_weights[-1]:
+            raise ValueError(f"{path}: the last row, shared by every untrained hash, must be zero")
         model = cls(n_classes, hash_seed, dim, vocab_sha256)
-        model.cls_weights = cls_weights
+        model._set_rows(hashes, cls_weights, det_weights)
         model.cls_bias = cls_bias
-        model.det_weights = det_weights
         model.det_bias = float(det_bias)
         return model
+
+
+def _header_line(fh, name: str, path) -> bytes:
+    line = fh.readline(_HEADER_LINE_LIMIT + 1)
+    if len(line) > _HEADER_LINE_LIMIT:
+        raise ValueError(f"{path}: model {name} line is longer than {_HEADER_LINE_LIMIT} bytes")
+    return line
 
 
 def _meta_int(meta: dict, key: str, path, low: int, high: float = math.inf) -> int:
@@ -165,13 +202,30 @@ def _meta_int(meta: dict, key: str, path, low: int, high: float = math.inf) -> i
     return value
 
 
-def _load_array(fh, name: str, shape: tuple[int, ...], path) -> np.ndarray:
+def _read_array(fh, name: str, path) -> np.ndarray:
     try:
         array = np.load(fh)
     except EOFError as exc:
         raise ValueError(f"{path}: model file ends before {name}") from exc
     if not isinstance(array, np.ndarray):  # an .npz header gives an archive
         raise ValueError(f"{path}: {name} is not an array")
+    return array
+
+
+def _load_hashes(fh, dim: int, path) -> np.ndarray:
+    hashes = _read_array(fh, "hashes", path)
+    if hashes.dtype != np.int64 or hashes.ndim != 1:
+        raise ValueError(f"{path}: hashes must be a 1-D int64 array, "
+                         f"got {hashes.dtype} of shape {hashes.shape}")
+    if not (hashes[1:] > hashes[:-1]).all():
+        raise ValueError(f"{path}: hashes must be sorted and distinct")
+    if hashes.size and not (hashes[0] >= 0 and hashes[-1] < dim):
+        raise ValueError(f"{path}: hashes must lie in [0, {dim})")
+    return hashes
+
+
+def _load_array(fh, name: str, shape: tuple[int, ...], path) -> np.ndarray:
+    array = _read_array(fh, name, path)
     if array.dtype != np.float64 or array.shape != shape:
         raise ValueError(f"{path}: {name} must be float64 of shape {shape}, "
                          f"got {array.dtype} of shape {array.shape}")
@@ -203,16 +257,27 @@ def stat_train(
         raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    model = StatTaggerModel(
-        n_classes=len(vocab), hash_seed=seed, dim=dim, vocab_sha256=vocab.sha256()
-    )
+    hash_cache: dict[str, int] = {}
+    hash_of = partial(_hash_feature, seed=seed, dim=dim)
     samples: list[tuple[list[int], int, float]] = []
     for src, tgt in corpus:
         tags = extract_tags(src, tgt, vocab=vocab, lexicon=lexicon)
-        for tag, idxs in zip(tags, model._sentence_indices(src)):
+        hashes = _feature_ids(sentence_features(src), hash_cache, hash_of)
+        for tag, idxs in zip(tags, hashes):
             samples.append((idxs, vocab.id_of(tag), 0.0 if tag.kind is EditKind.KEEP else 1.0))
     if not samples:
         raise EmptyCorpus("stat_train needs a non-empty corpus")
+
+    # Rows for the trained hashes only: each receives the adds of its dense
+    # row in the same order, and the shared last row stays zero.
+    trained = np.unique(np.fromiter((h for idxs, _, _ in samples for h in idxs), np.int64))
+    rows = len(trained) + 1
+    model = StatTaggerModel(
+        n_classes=len(vocab), hash_seed=seed, dim=dim, vocab_sha256=vocab.sha256()
+    )
+    model._set_rows(trained, np.zeros((rows, len(vocab))), np.zeros(rows))
+    for idxs, _, _ in samples:
+        idxs[:] = [model._row_of[h] for h in idxs]
 
     rng = np.random.default_rng(seed)
     order = np.arange(len(samples))

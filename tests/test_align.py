@@ -202,3 +202,14 @@ class TestPairReader:
         pairs = list(reader)
         assert pairs == [("a b", "a"), ("x", "y")]
         assert reader.skipped == 2
+
+    @pytest.mark.parametrize("text, pairs", [
+        (b"the small cat\rsat here\tthe cat sat\n", [("the small cat\rsat here", "the cat sat")]),
+        (b"a b\ta\r\nx\ty\r\n", [("a b", "a"), ("x", "y")]),
+    ], ids=["bare-cr", "crlf"])
+    def test_a_line_ends_only_at_lf(self, tmp_path, text, pairs):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(text)
+        reader = PairReader(path)
+        assert list(reader) == pairs
+        assert reader.skipped == 0

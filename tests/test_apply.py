@@ -144,6 +144,18 @@ class TestTransforms:
         # the packaged default does not know this verb
         assert apply_transform(TransformKind.VERB_VB_VBZ, Token("frob")) == [Token("frob")]
 
+    def test_custom_lexicon_file_reads_crlf_as_lf(self, tmp_path):
+        path = tmp_path / "verbs.tsv"
+        path.write_bytes(b"# comment\r\nfrob\tVBZ\tfrobs\r\n\r\n")
+        lex = VerbLexicon.from_path(path)
+        assert lex.inflect("frob", "VBZ") == "frobs"
+
+    def test_custom_lexicon_file_keeps_a_bare_cr_inside_its_line(self, tmp_path):
+        path = tmp_path / "verbs.tsv"
+        path.write_bytes(b"frob\tVBZ\tfrobs\rgrok\tVBZ\tgroks\n")
+        with pytest.raises(ValueError, match="needs 3 tab-separated fields"):
+            VerbLexicon.from_path(path)
+
 
 class TestRecognizers:
     def test_verb_recognized(self):

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tagsimp.align import build_vocab
@@ -295,7 +296,8 @@ class TestChunkedSimplify:
         vocab.save(vocab_path)
         model = StatTaggerModel(n_classes=n_tags, hash_seed=1, dim=dim)
         model.cls_bias[0] = 1.0  # KEEP, except where a feature hashes to bucket 3:
-        model.cls_weights[3, 1] = 5.0  # DELETE there; sentences take 1 to 5 passes
+        model._set_rows(np.array([3]), np.zeros((2, n_tags)), np.zeros(2))
+        model.cls_weights[0, 1] = 5.0  # DELETE there (bucket 3 is row 0); 1 to 5 passes
         model.save(model_path)
 
         def peak(n_lines):
@@ -596,6 +598,19 @@ class TestModelVocabulary:
         assert "det_bias holds a non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_v1_model_is_a_data_error_that_asks_for_retraining(self, workdir, capsys):
+        tmp_path, corpus, vocab_path = workdir
+        model_path = train_stat(tmp_path, corpus, vocab_path)
+        model_path.write_bytes(model_path.read_bytes().replace(
+            b"tagsimp-stat-model v2\n", b"tagsimp-stat-model v1\n", 1))
+        inputs, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inputs.write_text("a b c\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["simplify", str(inputs), str(out), "--backend", "stat",
+                     "--vocab", str(vocab_path), "--model", str(model_path)]) == 2
+        assert "retrain it with `tagsimp train-stat`" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUsageRules:
     """A broken backend-flag rule exits 1 before any file is read or written."""
@@ -696,6 +711,15 @@ class TestTrainStatValues:
                      "--vocab", str(vocab_path)]) == 2
         assert "--seed" in capsys.readouterr().err
         assert not model_path.exists()
+
+    def test_reports_the_hash_rows_it_stored(self, workdir, capsys):
+        tmp_path, corpus, vocab_path = workdir
+        capsys.readouterr()
+        model_path = train_stat(tmp_path, corpus, vocab_path)
+        trained = len(StatTaggerModel.load(model_path).hashes)
+        assert 0 < trained < 4096
+        assert capsys.readouterr().err.endswith(
+            f"; {trained} of 4096 hash rows trained ({model_path.stat().st_size / 1e6:.2f} MB)\n")
 
 
 class TestExitCodes:

@@ -132,6 +132,18 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             TagVocabulary.from_counts({}, capacity=1)
 
+    def test_load_reads_crlf_as_lf(self, tmp_path):
+        vocab = TagVocabulary.from_counts({"$APPEND_a": 2, "$REPLACE_b": 1}, capacity=10)
+        path = tmp_path / "crlf.vocab"
+        path.write_bytes(vocab.to_bytes().replace(b"\n", b"\r\n"))
+        assert TagVocabulary.load(path).to_bytes() == vocab.to_bytes()
+
+    def test_load_keeps_a_bare_cr_inside_its_line(self, tmp_path):
+        path = tmp_path / "cr.vocab"
+        path.write_bytes(b"$KEEP\n$DELETE\r$APPEND_a\n")
+        with pytest.raises(MalformedTag):
+            TagVocabulary.load(path)
+
     def test_file_bytes_deterministic(self, tmp_path):
         counts = {"$APPEND_a": 4, "$REPLACE_b": 2, "$APPEND_c": 4}
         a, b = tmp_path / "a.vocab", tmp_path / "b.vocab"

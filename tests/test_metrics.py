@@ -195,6 +195,15 @@ class TestEvalTsv:
             EvalRecord("x", "x", ("x",)),
         ]
 
+    @pytest.mark.parametrize("text, records", [
+        (b"a b\rc\ta b\ta b\n", [EvalRecord("a b\rc", "a b", ("a b",))]),
+        (b"a b\ta\ta\r\nx\tx\tx\r\n", [EvalRecord("a b", "a", ("a",)), EvalRecord("x", "x", ("x",))]),
+    ], ids=["bare-cr", "crlf"])
+    def test_a_line_ends_only_at_lf(self, tmp_path, text, records):
+        path = tmp_path / "eval.tsv"
+        path.write_bytes(text)
+        assert read_eval_tsv(path) == records
+
     def test_too_few_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("only\ttwo\n", encoding="utf-8")

@@ -12,6 +12,7 @@ loop is kept too, as the reference for the one batched loop that both
 
 import json
 import sys
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -52,6 +53,7 @@ from tagsimp.engine import (
 )
 from tagsimp.errors import MalformedTag, ProtocolError, ShapeMismatch
 from tagsimp.external import ExternalTaggerClient, _quote
+from tagsimp import stat_tagger
 from tagsimp.stat_tagger import StatTaggerModel, _hash_feature, stat_train
 from tagsimp.tagger import OracleBackend, TagPrediction
 
@@ -166,14 +168,39 @@ def reference_token_features(seq: TokenSeq, position: int) -> list[str]:
     return feats
 
 
-def reference_indices(model: StatTaggerModel, seq: TokenSeq, position: int) -> np.ndarray:
+@dataclass
+class DenseModel:
+    """The dense layout: one weight row per hash bucket, trained or not."""
+
+    hash_seed: int
+    dim: int
+    cls_weights: np.ndarray  # (dim, n_classes)
+    cls_bias: np.ndarray
+    det_weights: np.ndarray  # (dim,)
+    det_bias: float
+    epoch_losses: list[float] = field(default_factory=list)
+
+
+def dense_rows(model: StatTaggerModel) -> tuple[np.ndarray, np.ndarray]:
+    """A compact model's rows scattered into the dense layout; untrained rows are +0.0."""
+    assert model.cls_weights[-1].tobytes() == bytes(8 * model.n_classes)
+    assert np.float64(model.det_weights[-1]).tobytes() == bytes(8)
+    cls_weights = np.zeros((model.dim, model.n_classes))
+    det_weights = np.zeros(model.dim)
+    cls_weights[model.hashes] = model.cls_weights[:-1]
+    det_weights[model.hashes] = model.det_weights[:-1]
+    return cls_weights, det_weights
+
+
+def reference_indices(model: DenseModel, seq: TokenSeq, position: int) -> np.ndarray:
     feats = reference_token_features(seq, position)
     return np.asarray([_hash_feature(f, model.hash_seed, model.dim) for f in feats], dtype=np.intp)
 
 
-def reference_predict(model: StatTaggerModel, seq: TokenSeq) -> tuple[np.ndarray, np.ndarray]:
+def reference_predict(model: DenseModel, seq: TokenSeq) -> tuple[np.ndarray, np.ndarray]:
     """Per token: gather and sum the weight rows, then its own softmax and sigmoid."""
-    dist = np.empty((len(seq), model.n_classes), dtype=np.float64)
+    n_classes = len(model.cls_bias)
+    dist = np.empty((len(seq), n_classes), dtype=np.float64)
     detect = np.empty(len(seq), dtype=np.float64)
     for i in range(len(seq)):
         idxs = reference_indices(model, seq, i)
@@ -182,10 +209,10 @@ def reference_predict(model: StatTaggerModel, seq: TokenSeq) -> tuple[np.ndarray
     return detect, dist
 
 
-def reference_stat_train(corpus, vocab, epochs, learning_rate, seed, dim) -> StatTaggerModel:
+def reference_stat_train(corpus, vocab, epochs, learning_rate, seed, dim) -> DenseModel:
     """SGD with ``np.add.at`` scatter updates of the hashed feature rows."""
-    model = StatTaggerModel(
-        n_classes=len(vocab), hash_seed=seed, dim=dim, vocab_sha256=vocab.sha256()
+    model = DenseModel(
+        seed, dim, np.zeros((dim, len(vocab))), np.zeros(len(vocab)), np.zeros(dim), 0.0
     )
     samples = []
     for src, tgt in corpus:
@@ -212,6 +239,32 @@ def reference_stat_train(corpus, vocab, epochs, learning_rate, seed, dim) -> Sta
             model.det_bias -= learning_rate * det_grad
         model.epoch_losses.append(total / len(samples))
     return model
+
+
+def trained_hashes(model: DenseModel, corpus) -> list[int]:
+    """The buckets that training touches: every feature hash of every source token."""
+    return sorted({int(h) for src, _ in corpus for i in range(len(src))
+                   for h in reference_indices(model, src, i)})
+
+
+def assert_trains_as_reference(fast: StatTaggerModel, ref: DenseModel, corpus) -> None:
+    cls_weights, det_weights = dense_rows(fast)
+    assert fast.hashes.tolist() == trained_hashes(ref, corpus)
+    assert cls_weights.tobytes() == ref.cls_weights.tobytes()
+    assert fast.cls_bias.tobytes() == ref.cls_bias.tobytes()
+    assert det_weights.tobytes() == ref.det_weights.tobytes()
+    assert np.float64(fast.det_bias).tobytes() == np.float64(ref.det_bias).tobytes()
+    assert fast.epoch_losses == ref.epoch_losses
+
+
+def assert_predicts_as_reference(model: StatTaggerModel, ref: DenseModel, seqs) -> None:
+    preds = model.predict_batch(seqs)
+    with np.errstate(over="ignore"):  # large weights saturate the reference sigmoid
+        refs = [reference_predict(ref, seq) for seq in seqs]
+    assert len(preds) == len(seqs)
+    for pred, (detect, dist) in zip(preds, refs):
+        assert pred.detect.tobytes() == detect.tobytes()
+        assert pred.dist.tobytes() == dist.tobytes()
 
 
 def _reject_constant(name):
@@ -358,11 +411,7 @@ def test_row_add_training_is_bitwise_add_at():
     vocab = vocab_for(text_pairs)
     fast = stat_train(corpus, vocab, epochs=3, learning_rate=0.3, seed=5, dim=8)
     ref = reference_stat_train(corpus, vocab, epochs=3, learning_rate=0.3, seed=5, dim=8)
-    assert fast.cls_weights.tobytes() == ref.cls_weights.tobytes()
-    assert fast.cls_bias.tobytes() == ref.cls_bias.tobytes()
-    assert fast.det_weights.tobytes() == ref.det_weights.tobytes()
-    assert np.float64(fast.det_bias).tobytes() == np.float64(ref.det_bias).tobytes()
-    assert fast.epoch_losses == ref.epoch_losses
+    assert_trains_as_reference(fast, ref, corpus)
     assert np.any(fast.cls_weights != 0)
 
 
@@ -380,19 +429,44 @@ short_words = st.text("abAB", min_size=1, max_size=3)
 )
 def test_sentence_predict_is_bitwise_per_token_reference(sentences, n_classes, dim, scale, seed):
     rng = np.random.default_rng(seed)
-    model = StatTaggerModel(n_classes=n_classes, hash_seed=seed % 1000, dim=dim)
-    model.cls_weights = rng.normal(size=(dim, n_classes)) * scale
-    model.cls_bias = rng.normal(size=n_classes) * scale
-    model.det_weights = rng.normal(size=dim) * scale
-    model.det_bias = float(rng.normal()) * scale
-    seqs = [TokenSeq.from_words(words) for words in sentences]
-    preds = model.predict_batch(seqs)
-    with np.errstate(over="ignore"):  # large weights saturate the reference sigmoid
-        refs = [reference_predict(model, seq) for seq in seqs]
-    assert len(preds) == len(seqs)
-    for pred, (detect, dist) in zip(preds, refs):
-        assert pred.detect.tobytes() == detect.tobytes()
-        assert pred.dist.tobytes() == dist.tobytes()
+    trained = np.flatnonzero(rng.random(dim) < 0.5)  # the other buckets are all +0.0
+    ref = DenseModel(seed % 1000, dim, np.zeros((dim, n_classes)),
+                     rng.normal(size=n_classes) * scale, np.zeros(dim), float(rng.normal()) * scale)
+    ref.cls_weights[trained] = rng.normal(size=(len(trained), n_classes)) * scale
+    ref.det_weights[trained] = rng.normal(size=len(trained)) * scale
+    model = StatTaggerModel(n_classes=n_classes, hash_seed=ref.hash_seed, dim=dim)
+    model._set_rows(trained, np.vstack([ref.cls_weights[trained], np.zeros(n_classes)]),
+                    np.append(ref.det_weights[trained], 0.0))
+    model.cls_bias = ref.cls_bias.copy()
+    model.det_bias = ref.det_bias
+    assert_predicts_as_reference(model, ref, [TokenSeq.from_words(w) for w in sentences])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.lists(short_words, max_size=6), st.lists(short_words, max_size=6)),
+                   min_size=1, max_size=4),
+    unseen=st.lists(st.lists(st.text("abxyz", min_size=1, max_size=3), max_size=8),
+                    min_size=1, max_size=3),
+    dim=st.sampled_from([8, 64, 4096]),
+    cache_size=st.sampled_from([20, 2**16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compact_rows_train_and_predict_as_the_dense_reference(pairs, unseen, dim, cache_size,
+                                                               seed):
+    # dim=8 makes duplicate hashes within a token certain; "x", "y" and "z"
+    # give features that training never saw; a cache of 20 features is
+    # cleared within every sentence of more than one token.
+    text_pairs = [(" ".join(src), " ".join(tgt)) for src, tgt in pairs]
+    corpus = [(tokenize(s), tokenize(t)) for s, t in text_pairs]
+    vocab = vocab_for(text_pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stat_tagger, "HASH_CACHE_SIZE", cache_size)
+        fast = stat_train(corpus, vocab, epochs=2, learning_rate=0.3, seed=seed, dim=dim)
+        ref = reference_stat_train(corpus, vocab, epochs=2, learning_rate=0.3, seed=seed, dim=dim)
+        assert_trains_as_reference(fast, ref, corpus)
+        seqs = [src for src, _ in corpus] + [TokenSeq.from_words(w) for w in unseen]
+        assert_predicts_as_reference(fast, ref, seqs + seqs)  # the second round hits the cache
 
 
 def _decode_outcomes(line: str, lengths: list[int], vocab_size: int):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -138,15 +139,16 @@ DROP = object()
 
 
 def write_model_file(path, meta=None, arrays=None):
-    """A model file of 3 classes over 8 hash buckets, with parts replaced.
+    """A model file of 3 classes over 8 hash buckets, 1 and 5 trained, with parts replaced.
 
     A meta key set to ``DROP`` is left out; an array set to ``None`` ends the
     file before it.
     """
     meta = {"n_classes": 3, "hash_seed": 1, "dim": 8, "vocab_sha256": "", **(meta or {})}
     meta = {key: value for key, value in meta.items() if value is not DROP}
-    arrays = {"cls_weights": np.zeros((8, 3)), "cls_bias": np.zeros(3),
-              "det_weights": np.zeros(8), "det_bias": np.float64(0.0), **(arrays or {})}
+    arrays = {"hashes": np.array([1, 5], dtype=np.int64), "cls_weights": np.zeros((3, 3)),
+              "cls_bias": np.zeros(3), "det_weights": np.zeros(3), "det_bias": np.float64(0.0),
+              **(arrays or {})}
     with open(path, "wb") as fh:
         fh.write(stat_tagger._MAGIC)
         fh.write(json.dumps(meta).encode("utf-8") + b"\n")
@@ -166,7 +168,9 @@ class TestMalformedModelFile:
     def test_a_well_formed_file_loads(self, tmp_path):
         write_model_file(tmp_path / "m.model")
         model = StatTaggerModel.load(tmp_path / "m.model")
-        assert model.cls_weights.shape == (8, 3) and model.det_bias == 0.0
+        assert model.hashes.tolist() == [1, 5] and model.det_bias == 0.0
+        assert model.cls_weights.shape == (3, 3) and model.det_weights.shape == (3,)
+        assert model._row_of == {1: 0, 5: 1}  # every other bucket reads the zero row 2
 
     @pytest.mark.parametrize("meta", [
         {"dim": DROP},
@@ -189,23 +193,71 @@ class TestMalformedModelFile:
         with pytest.raises(ValueError, match="JSON object"):
             StatTaggerModel.load(path)
 
+    def test_a_v1_file_asks_for_retraining(self, tmp_path):
+        path = tmp_path / "m.model"
+        write_model_file(path)
+        path.write_bytes(b"tagsimp-stat-model v1\n" + path.read_bytes()[len(stat_tagger._MAGIC):])
+        with pytest.raises(ValueError, match="v1 stat model.*retrain it with `tagsimp train-stat`"):
+            StatTaggerModel.load(path)
+
+    @pytest.mark.parametrize("header", [
+        b"x" * 10_000_000,
+        stat_tagger._MAGIC + b"{" + b" " * 10_000_000,
+    ], ids=["magic", "meta"])
+    def test_a_header_line_is_read_only_up_to_its_limit(self, tmp_path, header):
+        path = tmp_path / "m.model"
+        path.write_bytes(header)  # no newline anywhere
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="line is longer than 4096 bytes"):
+                StatTaggerModel.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+    @pytest.mark.parametrize("hashes, message", [
+        (np.array([1.0, 5.0]), "1-D int64"),
+        (np.array([1, 5], dtype=np.int32), "1-D int64"),
+        (np.array([[1, 5]]), "1-D int64"),
+        (np.array([5, 1]), "sorted and distinct"),
+        (np.array([5, 5]), "sorted and distinct"),
+        (np.array([-1, 5]), r"in \[0, 8\)"),
+        (np.array([1, 8]), r"in \[0, 8\)"),
+    ], ids=["float64", "int32", "2d", "unsorted", "duplicated", "negative", "dim"])
+    def test_bad_hashes(self, tmp_path, hashes, message):
+        write_model_file(tmp_path / "m.model", arrays={"hashes": hashes})
+        with pytest.raises(ValueError, match=message):
+            StatTaggerModel.load(tmp_path / "m.model")
+
     @pytest.mark.parametrize("arrays", [
-        {"cls_weights": np.zeros((7, 3))},
-        {"cls_weights": np.zeros((8, 3), dtype=np.float32)},
+        {"cls_weights": np.zeros((2, 3))},
+        {"cls_weights": np.zeros((4, 3))},
+        {"cls_weights": np.zeros((3, 3), dtype=np.float32)},
         {"cls_bias": np.zeros(4)},
-        {"det_weights": np.zeros((8, 1))},
+        {"det_weights": np.zeros(2)},
+        {"det_weights": np.zeros((3, 1))},
         {"det_bias": np.zeros(1)},
-    ], ids=["cls_weights-too-few-rows", "cls_weights-float32", "cls_bias-too-long",
-            "det_weights-2d", "det_bias-1d"])
+    ], ids=["cls_weights-too-few-rows", "cls_weights-too-many-rows", "cls_weights-float32",
+            "cls_bias-too-long", "det_weights-too-few-rows", "det_weights-2d", "det_bias-1d"])
     def test_wrong_shape_or_dtype(self, tmp_path, arrays):
         write_model_file(tmp_path / "m.model", arrays=arrays)
         with pytest.raises(ValueError, match="must be float64 of shape"):
             StatTaggerModel.load(tmp_path / "m.model")
 
     @pytest.mark.parametrize("arrays", [
-        {"cls_weights": with_value((8, 3), (7, 2), np.nan)},
+        {"cls_weights": with_value((3, 3), (2, 0), 1.0)},
+        {"det_weights": with_value(3, 2, -1.0)},
+    ], ids=["cls_weights", "det_weights"])
+    def test_the_row_of_untrained_hashes_must_be_zero(self, tmp_path, arrays):
+        write_model_file(tmp_path / "m.model", arrays=arrays)
+        with pytest.raises(ValueError, match="untrained hash, must be zero"):
+            StatTaggerModel.load(tmp_path / "m.model")
+
+    @pytest.mark.parametrize("arrays", [
+        {"cls_weights": with_value((3, 3), (2, 2), np.nan)},
         {"cls_bias": with_value(3, 0, np.inf)},
-        {"det_weights": with_value(8, 4, -np.inf)},
+        {"det_weights": with_value(3, 2, -np.inf)},
         {"det_bias": np.float64(np.nan)},
     ], ids=["cls_weights-nan", "cls_bias-inf", "det_weights-minus-inf", "det_bias-nan"])
     def test_non_finite_values(self, tmp_path, monkeypatch, arrays):
@@ -218,7 +270,7 @@ class TestMalformedModelFile:
         path = tmp_path / "m.model"
         write_model_file(path, arrays={"cls_weights": None})
         with open(path, "ab") as fh:
-            np.savez(fh, cls_weights=np.zeros((8, 3)))
+            np.savez(fh, cls_weights=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="cls_weights is not an array"):
             StatTaggerModel.load(path)
 
@@ -234,8 +286,9 @@ class TestHashCache:
     def model(self):
         rng = np.random.default_rng(4)
         model = StatTaggerModel(n_classes=7, hash_seed=3, dim=64)
-        model.cls_weights = rng.normal(size=(64, 7))
-        model.det_weights = rng.normal(size=64)
+        # Even buckets are trained; odd ones read the shared zero row.
+        model._set_rows(np.arange(0, 64, 2), np.vstack([rng.normal(size=(32, 7)), np.zeros(7)]),
+                        np.append(rng.normal(size=32), 0.0))
         return model
 
     def sentences(self):
